@@ -202,9 +202,15 @@ def absdiff_column(
             fast_b[i] = scalar_b
         elif len(values_a) > 1 or len(values_b) > 1:
             slow_rows.append(i)
-    difference = np.abs(
-        np.asarray(fast_a, dtype=np.float64) - np.asarray(fast_b, dtype=np.float64)
-    )
+    # Both sides overflowing to inf (e.g. "1e400") make ``inf - inf`` a
+    # NaN, exactly as the scalar ``abs(a - b)`` does; the NaN mask below
+    # then leaves the sentinel, matching the scalar result. The invalid
+    # subtraction is expected there, so it must not warn.
+    with np.errstate(invalid="ignore"):
+        difference = np.abs(
+            np.asarray(fast_a, dtype=np.float64)
+            - np.asarray(fast_b, dtype=np.float64)
+        )
     # min_over_pairs never returns more than the INFINITE_DISTANCE
     # sentinel it starts from (a candidate must be strictly smaller to
     # be taken), so the vectorized path clamps to stay bit-identical on

@@ -464,10 +464,9 @@ def _serve(args: argparse.Namespace) -> None:
 
     service = _open_service(args)
     if service.inline:
-        reason = service.degraded_reason or "inline queue requested"
         print(
-            f"no queue backend to serve ({reason}); submissions to this "
-            f"directory will execute inline",
+            "no queue backend to serve (inline queue requested); "
+            "submissions to this directory will execute inline",
             file=sys.stderr,
         )
         raise SystemExit(2)
@@ -994,11 +993,10 @@ def main(argv: list[str] | None = None) -> int:
         sub.add_argument(
             "--queue",
             default=None,
-            choices=("file", "redis", "inline"),
+            choices=("file", "inline"),
             help="queue backend: file (atomic-rename tickets, the "
-            "default), redis (degrades to inline when unavailable) or "
-            "inline (execute submissions in-process). Default: the "
-            "REPRO_SERVICE_QUEUE environment variable",
+            "default) or inline (execute submissions in-process). "
+            "Default: the REPRO_SERVICE_QUEUE environment variable",
         )
         sub.add_argument(
             "--rules-dir",

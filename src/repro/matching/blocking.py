@@ -178,53 +178,41 @@ def _code_pair_lists(
         )
 
 
-def _affected_code_pair_lists(
+def _affected_dedup_pair_lists(
     chunk: Sequence[Entity],
     code_lists: Sequence[np.ndarray],
     uids: Sequence[str],
     by_code: Sequence[Entity],
-    dedup: bool,
     affected: frozenset,
 ) -> Iterator[list[CandidatePair]]:
-    """Per-entity candidate pairs for an *affected-only* rescore.
+    """Per-entity candidate pairs for an *affected-only* dedup rescore.
 
-    The probe chunk holds only affected entities. Two-source mode emits
-    every partner (each pair has a unique probe side, so each affected
-    pair appears exactly once). Dedup mode emits the forward
-    (``uid_a < uid_b``) partners unconditionally plus the backward
-    partners that are *not* themselves affected — an affected backward
-    partner emits the pair when it is probed itself. Pairs are
+    The probe chunk holds only affected entities. Each one emits its
+    forward (``uid_a < uid_b``) partners unconditionally plus the
+    backward partners that are *not* themselves affected — an affected
+    backward partner emits the pair when it is probed itself. Pairs are
     uid-ordered exactly like the cold stream, so rescored pairs key the
-    same columns a cold run would.
+    same columns a cold run would. (Two-source mode needs no variant:
+    each pair has a unique probe side, so :func:`_code_pair_lists`
+    emits every affected pair exactly once.)
     """
     for entity_a, codes in zip(chunk, code_lists):
-        uid_a = entity_a.uid
-        if dedup:
-            floor = bisect_right(uids, uid_a)
-            split = int(np.searchsorted(codes, floor))
-            pairs: list[CandidatePair] = []
-            for code in codes[:split].tolist():
-                partner = by_code[code]
-                # Self-pairs drop here too: the probe entity is always
-                # in ``affected``.
-                if partner.uid not in affected:
-                    pairs.append((partner, entity_a))
-            pairs.extend(
-                zip(
-                    repeat(entity_a),
-                    map(by_code.__getitem__, codes[split:].tolist()),
-                )
+        floor = bisect_right(uids, entity_a.uid)
+        split = int(np.searchsorted(codes, floor))
+        pairs: list[CandidatePair] = []
+        for code in codes[:split].tolist():
+            partner = by_code[code]
+            # Self-pairs drop here too: the probe entity is always
+            # in ``affected``.
+            if partner.uid not in affected:
+                pairs.append((partner, entity_a))
+        pairs.extend(
+            zip(
+                repeat(entity_a),
+                map(by_code.__getitem__, codes[split:].tolist()),
             )
-            yield pairs
-        else:
-            i = bisect_left(uids, uid_a)
-            if i < len(uids) and uids[i] == uid_a:
-                j = int(np.searchsorted(codes, i))
-                if j < len(codes) and codes[j] == i:
-                    codes = np.delete(codes, j)
-            yield list(
-                zip(repeat(entity_a), map(by_code.__getitem__, codes.tolist()))
-            )
+        )
+        yield pairs
 
 
 def _token_blocks(
@@ -589,70 +577,45 @@ class Blocker(ABC):
     ) -> Iterator[list[CandidatePair]]:
         """Ready-to-score shards of exactly the candidate pairs that
         touch ``affected`` (each such pair once, uid-ordered like the
-        cold stream). The default filters the full pair stream — always
-        correct; indexed blockers override it to probe only the
-        affected entities.
+        cold stream), chunked from :meth:`_iter_affected_pairs`.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-
-        def touched(pairs: Iterable[CandidatePair]) -> Iterator[CandidatePair]:
-            for entity_a, entity_b in pairs:
-                if entity_a.uid in affected or entity_b.uid in affected:
-                    yield entity_a, entity_b
-
         return _chunked(
-            touched(self._iter_pairs(source_a, source_b, session)), batch_size
+            self._iter_affected_pairs(source_a, source_b, affected, session),
+            batch_size,
         )
+
+    def _iter_affected_pairs(
+        self,
+        source_a: DataSource,
+        source_b: DataSource,
+        affected: frozenset,
+        session: "EngineSession | None",
+    ) -> Iterator[CandidatePair]:
+        """Affected-only pair stream. The default filters the full pair
+        stream — always correct; indexed blockers override it to probe
+        only the affected entities."""
+        for entity_a, entity_b in self._iter_pairs(source_a, source_b, session):
+            if entity_a.uid in affected or entity_b.uid in affected:
+                yield entity_a, entity_b
 
     def _resolve_index(
-        self,
-        source: DataSource,
-        session: "EngineSession | None",
-        build: Callable[[], object],
-        patcher=None,
-    ) -> object:
-        """Index lookup through the session memo / persistent tier /
-        the blocker's own one-entry memo, building on miss. With a
-        ``patcher``, an ancestor epoch's payload (session, store or
-        instance memo) is patched forward through the source's delta
-        chain instead of rebuilding."""
-        token = self.signature()
-        if token is None:
-            return build()
-        if session is not None:
-            return session.blocking_index(
-                source.fingerprint(),
-                token,
-                build,
-                lineage=source.delta_chain(),
-                patcher=patcher,
-            )
-        fingerprint = source.fingerprint()
-        memo = self._index_memo
-        if memo is not None and memo[0] == fingerprint and memo[1] == token:
-            return memo[2]
-        payload = _patch_memo_payload(
-            memo, fingerprint, token, source.delta_chain(), patcher
-        )
-        if payload is None:
-            payload = build()
-        self._index_memo = (fingerprint, token, payload)
-        return payload
-
-    def _resolve_probe_index(
         self,
         source: DataSource,
         session: "EngineSession | None",
         token: str,
         build: Callable[[], object],
         patcher=None,
-        slot: str = "_probe_index_memo",
+        slot: str = "_index_memo",
     ) -> object:
-        """Probe-view lookup, mirroring :meth:`_resolve_index` with an
-        explicit token and its own instance-memo slot (``slot``):
-        session memo / persistent index tier when a session is
-        available, a one-entry fingerprint-keyed memo otherwise."""
+        """Index lookup under ``token``: the session memo / persistent
+        index tier when a session is available, else the blocker's own
+        one-entry fingerprint-keyed memo in ``slot`` (one slot per
+        derived view, so alternating lookups never thrash), building on
+        miss. With a ``patcher``, an ancestor epoch's payload (session,
+        store or instance memo) is patched forward through the source's
+        delta chain instead of rebuilding."""
         if session is not None:
             return session.blocking_index(
                 source.fingerprint(),
@@ -672,6 +635,182 @@ class Blocker(ABC):
             payload = build()
         setattr(self, slot, (fingerprint, token, payload))
         return payload
+
+    # -- the probe template of code-probing blockers ------------------------
+    #
+    # Token and MultiBlock probing share one shape: the probe index
+    # numbers B uids into sorted codes (``index.uids``), ``probe_batch``
+    # returns one sorted partner-code array per probe entity, and warm
+    # runs serve unchanged entities from the store's probe-result
+    # ledger. Such a blocker supplies ``probe_index``/``probe_batch``,
+    # :meth:`_ledger_token` and :meth:`_reverse_partners`; the loops
+    # below do the rest.
+
+    def _active_session(
+        self, session: "EngineSession | None"
+    ) -> "EngineSession | None":
+        """The session a run's probe ledger records through (MultiBlock
+        substitutes its own pinned session)."""
+        return session
+
+    def _ledger_token(self) -> str:
+        """Key token of this blocker's probe-result ledger: it must
+        change whenever an unchanged entity's probe result could."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no probe-result ledger"
+        )
+
+    def _reverse_partners(
+        self,
+        source_a: DataSource,
+        source_b: DataSource,
+        index: object,
+        session: "EngineSession | None",
+    ) -> tuple[Callable[[Entity], set], bool]:
+        """The hook of the targeted reverse pass: ``(partners_of,
+        verify)``. ``partners_of(entity_b)`` returns a fresh set of the
+        uids of A entities that could pair with a changed B entity (a
+        superset of its true partners); ``verify`` says whether those
+        partners must be probed to confirm candidacy (an exact reverse
+        table needs no verifying)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no reverse probe path"
+        )
+
+    def _probe_ledger(
+        self, source_b: DataSource, session: "EngineSession | None"
+    ) -> _ProbeLedger:
+        from repro.engine.store import index_key
+
+        own = self._active_session(session)
+        if own is None or own.store is None:
+            return _ProbeLedger(None, "")
+        return _ProbeLedger(
+            own, index_key(source_b.fingerprint(), self._ledger_token())
+        )
+
+    def _probe_chunks(
+        self,
+        entities: Sequence[Entity],
+        source_b: DataSource,
+        index: object,
+        session: "EngineSession | None",
+    ) -> Iterator[tuple[Sequence[Entity], list]]:
+        """The one chunked probe loop: ``(chunk, partner codes)`` per
+        ``_PROBE_CHUNK`` entities, served through the probe-result
+        ledger with one distinct-value memo for the whole loop. The
+        ledger flushes in ``finally``, so a partly consumed stream
+        still persists what it probed."""
+        memo: dict = {}
+        ledger = self._probe_ledger(source_b, session)
+        try:
+            for start in range(0, len(entities), _PROBE_CHUNK):
+                chunk = entities[start : start + _PROBE_CHUNK]
+                yield chunk, ledger.probe(
+                    chunk,
+                    lambda miss: self.probe_batch(
+                        miss, index, session, memo=memo
+                    ),
+                )
+        finally:
+            ledger.flush()
+
+    def _probe_pairs(
+        self,
+        source_a: DataSource,
+        source_b: DataSource,
+        index: object,
+        session: "EngineSession | None",
+        affected: frozenset | None = None,
+    ) -> Iterator[CandidatePair]:
+        """The code-probe pair stream: every candidate pair, or with
+        ``affected`` exactly the pairs touching it (the affected
+        entities' own probes, then in two-source mode the targeted
+        reverse pass for changed B entities)."""
+        return chain.from_iterable(
+            self._probe_pair_lists(source_a, source_b, index, session, affected)
+        )
+
+    def _probe_pair_lists(self, source_a, source_b, index, session, affected):
+        dedup = source_a is source_b
+        uids = index.uids
+        get_b = source_b.get
+        # Entities resolve by integer code (one list index per pair)
+        # instead of by uid string.
+        by_code = [get_b(uid) for uid in uids]
+        entities = source_a.entities()
+        if affected is not None:
+            entities = [entity for entity in entities if entity.uid in affected]
+        for chunk, results in self._probe_chunks(
+            entities, source_b, index, session
+        ):
+            if affected is None or not dedup:
+                yield from _code_pair_lists(chunk, results, uids, by_code, dedup)
+            else:
+                yield from _affected_dedup_pair_lists(
+                    chunk, results, uids, by_code, affected
+                )
+        if affected is not None and not dedup:
+            yield from self._reverse_pair_lists(
+                source_a, source_b, affected, index, session
+            )
+
+    def _reverse_pair_lists(self, source_a, source_b, affected, index, session):
+        """Pairs of *unaffected* probe entities with affected stored
+        entities (two-source mode; dedup probes emit both directions
+        via :func:`_affected_dedup_pair_lists`).
+
+        Two-source emission is one-directional — only A probes — so a
+        changed B entity's pairs with unchanged A partners never
+        surface from the affected probes. :meth:`_reverse_partners`
+        answers them from a reverse table. Partners that need
+        verifying are probed (through the ledger and memo like every
+        other probe) and kept only where the B entity's code is among
+        their partner codes: unverified coarse partners would leak
+        non-candidate pairs and break byte-parity with a cold execute.
+        Affected partners are excluded (their own probe already emits
+        the pair), so every affected pair is emitted exactly once."""
+        partners_of, verify = self._reverse_partners(
+            source_a, source_b, index, session
+        )
+        get_a = source_a.get
+        coarse: list[tuple[Entity, list[str]]] = []
+        for uid in sorted(affected):
+            if uid not in source_b:
+                continue
+            entity_b = source_b.get(uid)
+            partners = partners_of(entity_b) - affected
+            partners.discard(uid)
+            if not partners:
+                continue
+            if verify:
+                coarse.append((entity_b, sorted(partners)))
+            else:
+                yield [(get_a(partner), entity_b) for partner in sorted(partners)]
+        if not coarse:
+            return
+        entities = [
+            get_a(uid)
+            for uid in sorted(set(chain.from_iterable(p for _, p in coarse)))
+        ]
+        codes_of: dict[str, np.ndarray] = {}
+        for chunk, results in self._probe_chunks(
+            entities, source_b, index, session
+        ):
+            codes_of.update(zip((entity.uid for entity in chunk), results))
+        uids = index.uids
+        for entity_b, partners in coarse:
+            code_b = bisect_left(uids, entity_b.uid)
+            if code_b == len(uids) or uids[code_b] != entity_b.uid:
+                continue
+            pairs = []
+            for partner in partners:
+                codes = codes_of[partner]
+                position = int(np.searchsorted(codes, code_b))
+                if position < len(codes) and codes[position] == code_b:
+                    pairs.append((get_a(partner), entity_b))
+            if pairs:
+                yield pairs
 
 
 class FullIndexBlocker(Blocker):
@@ -852,7 +991,7 @@ class TokenBlocker(Blocker):
                 token: uids for token, uids in raw.items() if len(uids) <= limit
             }
 
-        return self._resolve_probe_index(
+        return self._resolve_index(
             source,
             session,
             f"{self.signature()}|filtered-blocks-v1",
@@ -865,6 +1004,7 @@ class TokenBlocker(Blocker):
         return self._resolve_index(
             source,
             session,
+            self.signature(),
             lambda: _token_blocks(source, self._properties_b, session),
             patcher=_raw_token_patcher(source, self._properties_b),
         )
@@ -883,7 +1023,7 @@ class TokenBlocker(Blocker):
         changed), affected blocks recompute from the patched table."""
         # The raw block table is only materialised inside the builder:
         # a probe-view hit (warm session or warm store) never loads it.
-        uids, blocks = self._resolve_probe_index(
+        uids, blocks = self._resolve_index(
             source_b,
             session,
             f"{self.signature()}|probe-codes-v1",
@@ -893,6 +1033,7 @@ class TokenBlocker(Blocker):
             patcher=lambda payload, delta: self._patch_probe_view(
                 payload, delta, self.build_index(source_b, session=session)
             ),
+            slot="_probe_index_memo",
         )
         return _TokenProbeIndex(uids=uids, blocks=blocks, size=len(uids))
 
@@ -964,7 +1105,7 @@ class TokenBlocker(Blocker):
         code space absorbs every block in C and ``flatnonzero`` reads
         the union back sorted (an entity probing a single block reuses
         the index's own array, zero-copy). Probe results memoise per
-        distinct property text (``memo``; ``_iter_pairs`` threads one
+        distinct property text (``memo``; ``_probe_chunks`` threads one
         through the whole run), so duplicate-heavy sources skip
         tokenisation *and* the union."""
         properties = self._properties_a
@@ -1043,32 +1184,11 @@ class TokenBlocker(Blocker):
         if not baseline and not final:
             return frozenset()
 
-        if source_a is source_b:
-            limit = self._max_block_size
-            raw = self._raw_blocks(source_b, session)
-            affected: set[str] = set(baseline) | set(final)
-            growth: dict[str, int] = {}
-            for uid in affected:
-                before = baseline.get(uid) or frozenset()
-                after = final.get(uid) or frozenset()
-                for token in after - before:
-                    growth[token] = growth.get(token, 0) + 1
-                for token in before - after:
-                    growth[token] = growth.get(token, 0) - 1
-            for token, delta_size in growth.items():
-                members = raw.get(token, ())
-                new_size = len(members)
-                old_size = new_size - delta_size
-                if (old_size > limit) != (new_size > limit):
-                    # Members that *left* the block are changed uids,
-                    # already in the set.
-                    affected.update(members)
-            return frozenset(affected)
-
         limit = self._max_block_size
         raw = self._raw_blocks(source_b, session)
+        changed = set(baseline) | set(final)
         growth: dict[str, int] = {}
-        for uid in set(baseline) | set(final):
+        for uid in changed:
             before = baseline.get(uid) or frozenset()
             after = final.get(uid) or frozenset()
             for token in after - before:
@@ -1080,6 +1200,12 @@ class TokenBlocker(Blocker):
             new_size = len(raw.get(token, ()))
             if (new_size - delta_size > limit) != (new_size > limit):
                 flipped.append(token)
+        if source_a is source_b:
+            # Members that *left* a flipped block are changed uids,
+            # already in the set.
+            for token in flipped:
+                changed.update(raw.get(token, ()))
+            return frozenset(changed)
         if not flipped:
             return frozenset()
         reverse = self._reverse_blocks(source_a, session)
@@ -1101,7 +1227,7 @@ class TokenBlocker(Blocker):
         token = f"token-index:v2:rev:props={sorted(properties)!r}"
         build = lambda: _token_blocks(source_a, properties, session)
         patcher = _raw_token_patcher(source_a, properties)
-        return self._resolve_probe_index(
+        return self._resolve_index(
             source_a,
             session,
             token,
@@ -1110,70 +1236,18 @@ class TokenBlocker(Blocker):
             slot="_reverse_index_memo",
         )
 
-    def iter_affected_shards(
-        self, source_a, source_b, affected, batch_size, session=None
-    ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        return _chunked(
-            chain.from_iterable(
-                self._iter_affected_pair_lists(
-                    source_a, source_b, affected, session
-                )
-            ),
-            batch_size,
-        )
-
-    def _iter_affected_pair_lists(self, source_a, source_b, affected, session):
-        index = self.probe_index(source_a, source_b, session=session)
-        dedup = source_a is source_b
-        uids = index.uids
-        get_b = source_b.get
-        by_code = [get_b(uid) for uid in uids]
-        entities = [
-            entity for entity in source_a.entities() if entity.uid in affected
-        ]
-        memo: dict = {}
-        ledger = self._probe_ledger(source_a, source_b, session)
-        try:
-            for start in range(0, len(entities), _PROBE_CHUNK):
-                chunk = entities[start : start + _PROBE_CHUNK]
-                results = ledger.probe(
-                    chunk,
-                    lambda miss: self.probe_batch(
-                        miss, index, session, memo=memo
-                    ),
-                )
-                yield from _affected_code_pair_lists(
-                    chunk, results, uids, by_code, dedup, affected
-                )
-        finally:
-            ledger.flush()
-        if not dedup:
-            yield from self._targeted_reverse_pair_lists(
-                source_a, source_b, affected, session
-            )
-
-    def _targeted_reverse_pair_lists(
-        self, source_a, source_b, affected, session
-    ):
-        """Pairs of *unaffected* probe entities with affected stored
-        entities. Two-source emission is one-directional (only A
-        probes), so a changed B entity's pairs with unchanged A
-        partners never surface from the affected probes above; the
-        reverse table answers them directly, under the same stop-word
-        filter the forward probe applies. Affected probe entities are
-        excluded — their own full probe already emits these pairs —
-        which keeps every affected pair emitted exactly once."""
+    def _reverse_partners(self, source_a, source_b, index, session):
+        """Coarse partners from the unfiltered reverse table, under the
+        same stop-word filter the forward probe applies. That makes them
+        exact — an A entity holding one of the B entity's kept tokens
+        probes that token's block — so they need no verifying (which
+        would only add probes and ledger traffic)."""
         limit = self._max_block_size
         raw = self._raw_blocks(source_b, session)
         reverse = self._reverse_blocks(source_a, session)
         properties_b = self._properties_b
-        get_a = source_a.get
-        for uid in sorted(affected):
-            if uid not in source_b:
-                continue
-            entity_b = source_b.get(uid)
+
+        def partners_of(entity_b: Entity) -> set[str]:
             partners: set[str] = set()
             for token in set(
                 _text_tokens(_entity_text(entity_b, properties_b))
@@ -1181,59 +1255,23 @@ class TokenBlocker(Blocker):
                 if len(raw.get(token, ())) > limit:
                     continue
                 partners.update(reverse.get(token, ()))
-            partners -= affected
-            partners.discard(uid)
-            if partners:
-                yield [
-                    (get_a(partner), entity_b) for partner in sorted(partners)
-                ]
+            return partners
 
-    def _probe_ledger(self, source_a, source_b, session) -> _ProbeLedger:
-        from repro.engine.store import index_key
+        return partners_of, False
 
-        if session is None or session.store is None:
-            return _ProbeLedger(None, "")
-        token = (
+    def _ledger_token(self) -> str:
+        return (
             f"{self.signature()}|probe-results-v1:"
             f"probe_props={sorted(self._properties_a)!r}"
         )
-        return _ProbeLedger(
-            session, index_key(source_b.fingerprint(), token)
-        )
 
     def _iter_pairs(self, source_a, source_b, session):
-        return chain.from_iterable(
-            self._iter_pair_lists(source_a, source_b, session)
-        )
-
-    def _iter_pair_lists(self, source_a, source_b, session):
         index = self.probe_index(source_a, source_b, session=session)
-        dedup = source_a is source_b
-        uids = index.uids
-        get_b = source_b.get
-        # Entities resolve by integer code (one list index per pair)
-        # instead of by uid string.
-        by_code = [get_b(uid) for uid in uids]
-        entities = source_a.entities()
-        memo: dict = {}
-        ledger = self._probe_ledger(source_a, source_b, session)
-        try:
-            for start in range(0, len(entities), _PROBE_CHUNK):
-                chunk = entities[start : start + _PROBE_CHUNK]
-                yield from _code_pair_lists(
-                    chunk,
-                    ledger.probe(
-                        chunk,
-                        lambda miss: self.probe_batch(
-                            miss, index, session, memo=memo
-                        ),
-                    ),
-                    uids,
-                    by_code,
-                    dedup,
-                )
-        finally:
-            ledger.flush()
+        return self._probe_pairs(source_a, source_b, index, session)
+
+    def _iter_affected_pairs(self, source_a, source_b, affected, session):
+        index = self.probe_index(source_a, source_b, session=session)
+        return self._probe_pairs(source_a, source_b, index, session, affected)
 
 
 @dataclass(frozen=True)
@@ -1371,7 +1409,11 @@ class SortedNeighbourhoodBlocker(Blocker):
             return tuple(keyed)
 
         return self._resolve_index(
-            source, session, build, patcher=self._patch_keyed(source)
+            source,
+            session,
+            self.signature(),
+            build,
+            patcher=self._patch_keyed(source),
         )
 
     def _patch_keyed(self, source: DataSource):
@@ -1607,31 +1649,28 @@ class SortedNeighbourhoodBlocker(Blocker):
         )
         return frozenset(affected)
 
-    def iter_affected_shards(
-        self, source_a, source_b, affected, batch_size, session=None
-    ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        return _chunked(
-            self._iter_affected_pairs(source_a, source_b, affected, session),
-            batch_size,
-        )
+    def _iter_pairs(self, source_a, source_b, session):
+        return self._window_pairs(source_a, source_b, session, None)
 
     def _iter_affected_pairs(self, source_a, source_b, affected, session):
-        """Pairs touching ``affected``, each exactly once, probing only
-        the affected entities. Dedup mode recovers the *backward*
-        window of each probed entity (pairs whose forward owner is an
-        unaffected earlier neighbour) by slicing the merged order
-        directly, skipping partners that are themselves affected —
-        those pairs are already owned by the partner's own forward
-        probe."""
+        return self._window_pairs(source_a, source_b, session, affected)
+
+    def _window_pairs(self, source_a, source_b, session, affected):
+        """The one emission generator: every candidate pair in merged
+        order, or with ``affected`` only the pairs touching it, each
+        exactly once, probing only the affected entities.
+
+        Dedup mode emits each unordered pair once (the forward window),
+        uid-ordered like the seed. An affected-only run also recovers
+        each probed entity's *backward* window — pairs whose forward
+        owner is an unaffected earlier neighbour — by slicing the
+        merged order directly, skipping partners that are themselves
+        affected: their own forward probe already owns those pairs."""
         state = self.probe_index(source_a, source_b, session=session)
         window = self._window
-        entities = [
-            entity
-            for entity in state.probe_entities
-            if entity.uid in affected
-        ]
+        entities = state.probe_entities
+        if affected is not None:
+            entities = [entity for entity in entities if entity.uid in affected]
         get_a = source_a.get
         get_b = source_b.get
         partner_uids = state.partner_uids
@@ -1640,45 +1679,21 @@ class SortedNeighbourhoodBlocker(Blocker):
             for entity_i, uids in zip(
                 chunk, self.probe_batch(chunk, state, session)
             ):
-                if state.dedup:
-                    uid_i = entity_i.uid
+                if not state.dedup:
+                    yield from zip(repeat(entity_i), map(get_b, uids))
+                    continue
+                uid_i = entity_i.uid
+                if affected is not None:
                     pos = state.position_of[uid_i]
-                    low = max(0, pos - window + 1)
-                    for uid_j in partner_uids[low:pos]:
-                        if uid_j not in affected:
-                            if uid_i < uid_j:
-                                yield entity_i, get_a(uid_j)
-                            else:
-                                yield get_a(uid_j), entity_i
-                    for uid_j in uids:
-                        if uid_i < uid_j:
-                            yield entity_i, get_a(uid_j)
-                        else:
-                            yield get_a(uid_j), entity_i
-                else:
-                    yield from zip(repeat(entity_i), map(get_b, uids))
-
-    def _iter_pairs(self, source_a, source_b, session):
-        state = self.probe_index(source_a, source_b, session=session)
-        entities = state.probe_entities
-        get_a = source_a.get
-        get_b = source_b.get
-        for start in range(0, len(entities), _PROBE_CHUNK):
-            chunk = entities[start : start + _PROBE_CHUNK]
-            for entity_i, uids in zip(
-                chunk, self.probe_batch(chunk, state, session)
-            ):
-                if state.dedup:
-                    # Each unordered pair once (forward window); the
-                    # emitted pair is uid-ordered like the seed.
-                    uid_i = entity_i.uid
-                    for uid_j in uids:
-                        if uid_i < uid_j:
-                            yield entity_i, get_a(uid_j)
-                        else:
-                            yield get_a(uid_j), entity_i
-                else:
-                    yield from zip(repeat(entity_i), map(get_b, uids))
+                    backward = partner_uids[max(0, pos - window + 1) : pos]
+                    uids = [
+                        uid_j for uid_j in backward if uid_j not in affected
+                    ] + uids
+                for uid_j in uids:
+                    if uid_i < uid_j:
+                        yield entity_i, get_a(uid_j)
+                    else:
+                        yield get_a(uid_j), entity_i
 
 
 def _root_property(node: ValueNode) -> str | None:
@@ -1690,13 +1705,14 @@ def _root_property(node: ValueNode) -> str | None:
     return None
 
 
-class RuleBlocker(Blocker):
+class RuleBlocker(TokenBlocker):
     """Rule-aware blocking: token-block on the properties the rule
     compares (the MultiBlock idea, simplified).
 
     Every comparison contributes its source/target property pair as a
     blocking key, so any pair the rule could plausibly match shares at
-    least one token on at least one compared property.
+    least one token on at least one compared property. Everything else
+    — index, probing, signature — is :class:`TokenBlocker`'s.
     """
 
     def __init__(self, rule: LinkageRule, max_block_size: int = 200):
@@ -1710,41 +1726,6 @@ class RuleBlocker(Blocker):
                 properties_b.append(prop_b)
         if not properties_a:
             raise ValueError("rule has no property-based comparisons to block on")
-        self._delegate = TokenBlocker(
+        super().__init__(
             properties_a, properties_b, max_block_size=max_block_size
         )
-
-    def signature(self) -> str:
-        return self._delegate.signature()
-
-    def build_index(self, source, session=None):
-        return self._delegate.build_index(source, session=session)
-
-    def probe_index(self, source_a, source_b, session=None):
-        return self._delegate.probe_index(source_a, source_b, session=session)
-
-    def probe_batch(self, entities, index, session=None):
-        return self._delegate.probe_batch(entities, index, session=session)
-
-    def probe_uids(self, index, partners):
-        return self._delegate.probe_uids(index, partners)
-
-    def affected_probe_uids(
-        self, source_a, source_b, deltas_a, deltas_b, session=None
-    ):
-        return self._delegate.affected_probe_uids(
-            source_a, source_b, deltas_a, deltas_b, session=session
-        )
-
-    def iter_affected_shards(
-        self, source_a, source_b, affected, batch_size, session=None
-    ):
-        return self._delegate.iter_affected_shards(
-            source_a, source_b, affected, batch_size, session=session
-        )
-
-    def candidates(self, source_a, source_b):
-        return self._delegate.candidates(source_a, source_b)
-
-    def _iter_pairs(self, source_a, source_b, session):
-        return self._delegate._iter_pairs(source_a, source_b, session)

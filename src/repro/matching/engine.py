@@ -167,11 +167,6 @@ class MatchStats:
     #: and health reports.
     degraded: tuple[str, ...] = ()
 
-    @property
-    def value_stats(self) -> CacheStats | None:
-        """Backward-compatible alias for the value tier."""
-        return self.values
-
 
 @dataclass(frozen=True)
 class LinkDiff:

@@ -45,9 +45,7 @@ from __future__ import annotations
 import hashlib
 import math
 from abc import ABC, abstractmethod
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -67,12 +65,7 @@ from repro.engine.compiler import signature_token, value_tree_signature
 from repro.engine.session import EngineSession
 from repro.engine.values import evaluate_value_op
 from repro.matching.blocking import (
-    _PROBE_CHUNK,
-    _affected_code_pair_lists,
-    _chunked,
-    _code_pair_lists,
     _memo_put,
-    _ProbeLedger,
     _union_codes,
     Blocker,
     CandidatePair,
@@ -795,7 +788,7 @@ class MultiBlocker(Blocker):
         # and the current code table — the view *is* a derivation, so
         # "patch" means re-derive against the final epoch (idempotent
         # per chain step; counted as a patch, not a build).
-        uids: tuple[str, ...] = self._resolve_probe_index(
+        uids: tuple[str, ...] = self._resolve_index(
             source_b,
             own,
             "multiblock-uid-codes-v1",
@@ -811,7 +804,7 @@ class MultiBlocker(Blocker):
                 )
                 + "|probe-codes-v1"
             )
-            views[node_id] = self._resolve_probe_index(
+            views[node_id] = self._resolve_index(
                 source_b,
                 own,
                 token,
@@ -841,7 +834,7 @@ class MultiBlocker(Blocker):
         :meth:`probe_uids` materialises the uid view.
 
         ``memo`` lets a streaming caller share the distinct-value memo
-        across successive probe batches (``_iter_pairs`` threads one
+        across successive probe batches (``_probe_chunks`` threads one
         through the whole run); ``None`` scopes it to this call.
         """
         own = self._active_session(session)
@@ -932,92 +925,21 @@ class MultiBlocker(Blocker):
             return None
         return frozenset()
 
-    def iter_affected_shards(
-        self, source_a, source_b, affected, batch_size, session=None
-    ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        probe = self.probe_index(source_a, source_b, session=session)
-        if not probe.indexes:
-            return super().iter_affected_shards(
-                source_a, source_b, affected, batch_size, session=session
-            )
-        return _chunked(
-            chain.from_iterable(
-                self._iter_affected_pair_lists(
-                    source_a, source_b, affected, session, probe
-                )
-            ),
-            batch_size,
-        )
-
-    def _iter_affected_pair_lists(
-        self, source_a, source_b, affected, session, probe
-    ):
-        by_code = [source_b.get(uid) for uid in probe.uids]
-        dedup = source_a is source_b
-        memo: dict = {}
-        entities = [
-            entity for entity in source_a.entities() if entity.uid in affected
-        ]
-        ledger = self._probe_ledger(source_a, source_b, session)
-        try:
-            for start in range(0, len(entities), _PROBE_CHUNK):
-                chunk = entities[start : start + _PROBE_CHUNK]
-                results = ledger.probe(
-                    chunk,
-                    lambda miss: self.probe_batch(
-                        miss, probe, session, memo=memo
-                    ),
-                )
-                yield from _affected_code_pair_lists(
-                    chunk, results, probe.uids, by_code, dedup, affected
-                )
-        finally:
-            ledger.flush()
-        if not dedup:
-            yield from self._targeted_reverse_pair_lists(
-                source_a, source_b, affected, session, probe
-            )
-
-    def _targeted_reverse_pair_lists(
-        self, source_a, source_b, affected, session, probe
-    ):
-        """Pairs of *unaffected* probe entities with affected stored
-        entities (two-source mode; dedup probes emit both directions
-        via :func:`_affected_code_pair_lists`).
-
-        Two-source emission is one-directional — only A probes — so a
-        changed B entity's pairs with unchanged A partners never
-        surface from the affected probes above. For each affected B
-        entity this pass derives a coarse A-partner superset from the
-        per-comparison reverse indexes (sound because a candidate pair
-        satisfies at least one built comparison's block relation, and
+    def _reverse_partners(self, source_a, source_b, index, session):
+        """Coarse A-partner supersets from the per-comparison reverse
+        indexes: sound because a candidate pair satisfies at least one
+        built comparison's block relation, and
         :meth:`ComparisonIndexer.reverse_probe_keys` over-approximates
-        it), then *verifies* exact candidacy by probing those partners
-        against the current index and checking the B entity's code in
-        their partner-code arrays — emission without verification
-        would leak non-candidate pairs and break byte-parity with a
-        cold execute. Affected partners are excluded (their own probe
-        already emits the pair), keeping every affected pair emitted
-        exactly once; verification probes ride the probe-result ledger
-        and distinct-value memo like every other probe."""
+        it. Not exact, so the partners are verified against their own
+        probe codes. Reverse tables resolve lazily, on the first
+        changed B entity that needs them."""
         own = self._active_session(session)
         transforms = own.transforms
-        uids = probe.uids
-        get_a = source_a.get
         reverse_tables: dict[int, dict] = {}
-        coarse: list[tuple[str, int, list[str]]] = []
-        partner_uids: set[str] = set()
-        for uid in sorted(affected):
-            if uid not in source_b:
-                continue
-            code = bisect_left(uids, uid)
-            if code >= len(uids) or uids[code] != uid:
-                continue
-            entity_b = source_b.get(uid)
+
+        def partners_of(entity_b: Entity) -> set[str]:
             partners: set[str] = set()
-            for node_id, comparison_index in probe.indexes.items():
+            for node_id, comparison_index in index.indexes.items():
                 comparison = comparison_index.comparison
                 indexer = comparison_index.indexer
                 reverse = reverse_tables.get(node_id)
@@ -1034,56 +956,20 @@ class MultiBlocker(Blocker):
                     block = get(key)
                     if block is not None:
                         partners.update(block)
-            partners -= affected
-            partners.discard(uid)
-            if partners:
-                coarse.append((uid, code, sorted(partners)))
-                partner_uids.update(partners)
-        if not coarse:
-            return
-        entities = [get_a(uid) for uid in sorted(partner_uids)]
-        codes_of: dict[str, np.ndarray] = {}
-        memo: dict = {}
-        ledger = self._probe_ledger(source_a, source_b, session)
-        try:
-            for start in range(0, len(entities), _PROBE_CHUNK):
-                chunk = entities[start : start + _PROBE_CHUNK]
-                results = ledger.probe(
-                    chunk,
-                    lambda miss: self.probe_batch(
-                        miss, probe, session, memo=memo
-                    ),
-                )
-                for entity, codes in zip(chunk, results):
-                    codes_of[entity.uid] = codes
-        finally:
-            ledger.flush()
-        for uid_b, code_b, partners in coarse:
-            entity_b = source_b.get(uid_b)
-            pairs = []
-            for partner in partners:
-                codes = codes_of[partner]
-                position = int(np.searchsorted(codes, code_b))
-                if position < len(codes) and codes[position] == code_b:
-                    pairs.append((get_a(partner), entity_b))
-            if pairs:
-                yield pairs
+            return partners
 
-    def _probe_ledger(self, source_a, source_b, session) -> _ProbeLedger:
+        return partners_of, True
+
+    def _ledger_token(self) -> str:
         from repro.core.serialization import rule_to_json
-        from repro.engine.store import index_key
 
-        own = self._active_session(session)
-        if own.store is None:
-            return _ProbeLedger(None, "")
         rule_token = hashlib.sha256(
             rule_to_json(self._rule, indent=None).encode("utf-8")
         ).hexdigest()[:24]
-        token = (
+        return (
             f"multiblock:v1:rule={rule_token}:"
             f"max={self._max_comparisons}|probe-results-v1"
         )
-        return _ProbeLedger(own, index_key(source_b.fingerprint(), token))
 
     def candidates(
         self, source_a: DataSource, source_b: DataSource
@@ -1096,33 +982,15 @@ class MultiBlocker(Blocker):
             # No indexable comparison: fall back to the (lazy) full
             # product rather than a degenerate everything-matches probe.
             return FullIndexBlocker().candidates(source_a, source_b)
-        return chain.from_iterable(
-            self._iter_pair_lists(source_a, source_b, session, probe)
-        )
+        return self._probe_pairs(source_a, source_b, probe, session)
 
-    def _iter_pair_lists(self, source_a, source_b, session, probe):
-        by_code = [source_b.get(uid) for uid in probe.uids]
-        dedup = source_a is source_b
-        memo: dict = {}
-        entities = source_a.entities()
-        ledger = self._probe_ledger(source_a, source_b, session)
-        try:
-            for start in range(0, len(entities), _PROBE_CHUNK):
-                chunk = entities[start : start + _PROBE_CHUNK]
-                yield from _code_pair_lists(
-                    chunk,
-                    ledger.probe(
-                        chunk,
-                        lambda miss: self.probe_batch(
-                            miss, probe, session, memo=memo
-                        ),
-                    ),
-                    probe.uids,
-                    by_code,
-                    dedup,
-                )
-        finally:
-            ledger.flush()
+    def _iter_affected_pairs(self, source_a, source_b, affected, session):
+        probe = self.probe_index(source_a, source_b, session=session)
+        if not probe.indexes:
+            return super()._iter_affected_pairs(
+                source_a, source_b, affected, session
+            )
+        return self._probe_pairs(source_a, source_b, probe, session, affected)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ job store (:mod:`repro.service.jobs`).
 Service-path links are byte-identical to a direct
 :meth:`repro.matching.engine.MatchingEngine.execute` over the same
 inputs: workers run the very same engine, and the queue only decides
-*where* it runs. With no usable queue backend the service degrades to
-inline execution in the submitting process — same job records, same
-links, no workers required.
+*where* it runs. With the ``inline`` backend the service executes in
+the submitting process — same job records, same links, no workers
+required.
 """
 
 from repro.service.jobs import (
@@ -29,11 +29,9 @@ from repro.service.jobs import (
 )
 from repro.service.queue import (
     QUEUE_ENV,
-    REDIS_URL_ENV,
     ClaimTicket,
     FileQueue,
     QueueBackend,
-    RedisQueue,
     resolve_queue,
 )
 from repro.service.service import DEADLINE_ENV, SERVICE_DIR_ENV, LinkageService
@@ -44,7 +42,6 @@ __all__ = [
     "JOB_KINDS",
     "JOB_STATES",
     "QUEUE_ENV",
-    "REDIS_URL_ENV",
     "SERVICE_DIR_ENV",
     "ClaimTicket",
     "CorruptRecord",
@@ -55,7 +52,6 @@ __all__ = [
     "JobStore",
     "LinkageService",
     "QueueBackend",
-    "RedisQueue",
     "StaleJob",
     "recover_stale",
     "resolve_queue",

@@ -1,4 +1,4 @@
-"""Pluggable job queues: file-backed default, optional redis.
+"""Pluggable job queues: the file-backed backend, or none (inline).
 
 The queue carries only job *ids* — the payload lives in the
 :class:`~repro.service.jobs.JobStore` — so a backend needs exactly
@@ -14,11 +14,6 @@ Ticket filenames are ``<not_before_ms>-<submit_ns>-<job_id>``:
 lexicographic order is eligibility order, so claiming is one sorted
 directory listing, and retry backoff is encoded in the name instead of
 requiring a scheduler.
-
-The redis backend is import-gated: the container may not ship the
-``redis`` package, so :meth:`RedisQueue.available` reports whether it
-can run and :func:`resolve_queue` degrades to ``None`` (inline
-execution) instead of failing when it cannot.
 """
 
 from __future__ import annotations
@@ -32,26 +27,15 @@ from repro import faults
 
 #: Environment variable selecting the queue backend when a service is
 #: constructed without an explicit ``queue=`` (values: ``file`` — the
-#: default — ``redis``, ``inline``/``none`` to force inline execution).
+#: default — or ``inline``/``none`` to force inline execution).
 QUEUE_ENV = "REPRO_SERVICE_QUEUE"
-
-#: Environment variable naming a live redis server url. Doubles as the
-#: :class:`RedisQueue` default url and as the integration-test gate
-#: (``tests/test_redis_queue.py`` skips cleanly when unset).
-REDIS_URL_ENV = "REPRO_TEST_REDIS_URL"
-
-#: Fallback url when neither an argument nor the environment names one.
-_DEFAULT_REDIS_URL = "redis://localhost:6379/0"
-
-
-def _default_redis_url() -> str:
-    return os.environ.get(REDIS_URL_ENV, "").strip() or _DEFAULT_REDIS_URL
 
 
 @dataclass(frozen=True)
 class ClaimTicket:
     """A successfully claimed queue entry: the job to run plus the
-    backend token (file path / redis entry) to ack or release it."""
+    backend token (the file queue: the claimed ticket's path) to ack or
+    release it."""
 
     job_id: str
     token: str
@@ -191,129 +175,23 @@ class FileQueue(QueueBackend):
             return 0, 0, None
 
 
-def _redis_module():
-    """The ``redis`` package, or ``None`` when not importable (the
-    container intentionally does not bundle it)."""
-    try:
-        import redis
-    except ImportError:
-        return None
-    return redis
-
-
-class RedisQueue(QueueBackend):
-    """Redis-list-backed queue for multi-host worker fleets.
-
-    Submission pushes the job id onto a ready list; claiming moves it
-    atomically onto a per-worker processing list (``LMPOP``-free
-    ``RPOPLPUSH`` pattern, available on every redis version); acking
-    removes it from the processing list. Backoff rides in the job
-    record's ``not_before`` — an ineligible claim is released straight
-    back. Only constructed when the ``redis`` package imports *and*
-    the server answers a ping; otherwise :func:`resolve_queue`
-    degrades to inline execution.
-    """
-
-    name = "redis"
-
-    def __init__(self, url: str | None = None, prefix: str = "repro"):
-        module = _redis_module()
-        if module is None:
-            raise RuntimeError(
-                "the redis package is not installed; use the file queue "
-                "or inline execution"
-            )
-        if url is None:
-            url = _default_redis_url()
-        self._redis = module.Redis.from_url(url, decode_responses=True)
-        self._ready_key = f"{prefix}:queue:ready"
-        self._claimed_prefix = f"{prefix}:queue:claimed:"
-        self._redis.ping()
-
-    @classmethod
-    def available(cls, url: str | None = None) -> bool:
-        """Whether this backend can run here (package importable and
-        server reachable) — the degradation probe. ``url=None``
-        consults :data:`REDIS_URL_ENV` before the localhost default."""
-        module = _redis_module()
-        if module is None:
-            return False
-        if url is None:
-            url = _default_redis_url()
-        try:
-            module.Redis.from_url(url, socket_connect_timeout=0.5).ping()
-        except Exception:
-            return False
-        return True
-
-    def submit(self, job_id: str, not_before: float = 0.0) -> None:
-        # Eligibility is enforced at claim time from the job record;
-        # the entry itself carries the earliest-start timestamp.
-        self._redis.lpush(self._ready_key, f"{not_before!r}|{job_id}")
-
-    def claim(self, worker_id: str) -> ClaimTicket | None:
-        faults.fire("queue.claim")
-        claimed_key = self._claimed_prefix + worker_id
-        entry = self._redis.rpoplpush(self._ready_key, claimed_key)
-        if entry is None:
-            return None
-        not_before_text, _, job_id = entry.partition("|")
-        try:
-            not_before = float(not_before_text)
-        except ValueError:
-            not_before, job_id = 0.0, entry
-        if not_before > time.time():
-            # Not eligible yet: put it back and report empty-handed.
-            self._redis.lrem(claimed_key, 1, entry)
-            self._redis.lpush(self._ready_key, entry)
-            return None
-        return ClaimTicket(job_id=job_id, token=f"{claimed_key}|{entry}")
-
-    def ack(self, ticket: ClaimTicket) -> None:
-        faults.fire("queue.ack")
-        claimed_key, _, entry = ticket.token.partition("|")
-        self._redis.lrem(claimed_key, 1, entry)
-
-    def release(self, ticket: ClaimTicket, not_before: float = 0.0) -> None:
-        self.ack(ticket)
-        self.submit(ticket.job_id, not_before=not_before)
-
-    def depth(self) -> int:
-        return int(self._redis.llen(self._ready_key))
-
-    def claimed(self) -> list[tuple[str, str, float]]:
-        entries: list[tuple[str, str, float]] = []
-        now = time.time()
-        for key in self._redis.keys(self._claimed_prefix + "*"):
-            for entry in self._redis.lrange(key, 0, -1):
-                job_id = entry.partition("|")[2] or entry
-                entries.append((job_id, f"{key}|{entry}", now))
-        return entries
-
-
 def resolve_queue(
     root: str | os.PathLike,
     backend: str | None = None,
-) -> tuple[QueueBackend | None, str | None]:
-    """Resolve a queue backend spec to ``(queue, degradation_reason)``.
+) -> QueueBackend | None:
+    """Resolve a queue backend spec to a queue, or ``None`` for inline
+    execution.
 
     ``backend=None`` consults :data:`QUEUE_ENV` (default ``file``).
-    ``inline``/``none``/empty force inline execution deliberately
-    (reason ``None`` — that is a configuration, not a degradation);
-    ``redis`` degrades with a reason when the package or server is
-    unavailable, so :class:`~repro.service.service.LinkageService`
-    keeps working on machines without redis.
+    ``inline``/``none``/empty force inline execution; any other name
+    raises ``ValueError``.
     """
     spec = backend if backend is not None else os.environ.get(QUEUE_ENV, "file")
     text = spec.strip().lower() or "file"
     if text in ("inline", "none"):
-        return None, None
+        return None
     if text == "file":
-        return FileQueue(root), None
-    if text == "redis":
-        if not RedisQueue.available():
-            return None, "redis backend unavailable (package or server missing)"
-        return RedisQueue(), None
+        return FileQueue(root)
     raise ValueError(
-        f"unknown queue backend {spec!r}: expected file, redis, or inline"
+        f"unknown queue backend {spec!r}: expected file or inline"
     )

@@ -4,14 +4,12 @@
 queue backend, shared cache dir — behind the API a client (or the
 ``repro-experiments serve|submit|status|links`` commands) talks to.
 
-Degradation is a first-class mode, not an error path: when the
-configured queue backend is unavailable (``queue="redis"`` with no
-redis) or no backend is wanted (``queue="inline"``), submissions
-execute *inline* in the calling process, through the exact same job
-records, state transitions and engine code path the workers use. The
-only observable difference is where the work ran — links, stats and
-the record schema are identical, which is what the degradation tests
-assert.
+Inline execution is a first-class mode, not an error path: when no
+queue backend is wanted (``queue="inline"``), submissions execute in
+the calling process, through the exact same job records, state
+transitions and engine code path the workers use. The only observable
+difference is where the work ran — links, stats and the record schema
+are identical, which is what the inline-parity tests assert.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from __future__ import annotations
 import os
 import random
 import time
-import warnings
 from pathlib import Path
 
 from repro.engine.store import CACHE_ENV, ColumnStore
@@ -86,9 +83,8 @@ class LinkageService:
     inline path resolve the same directory, so any job warms all
     later jobs whatever executes them.
 
-    ``queue`` selects the backend (``file``, ``redis``, ``inline``;
-    ``None`` consults ``REPRO_SERVICE_QUEUE``). An unavailable backend
-    degrades to inline execution and :meth:`health` reports why.
+    ``queue`` selects the backend (``file`` or ``inline``; ``None``
+    consults ``REPRO_SERVICE_QUEUE``).
 
     ``rules_dir`` names the rule registry jobs may reference rules from
     (``REPRO_RULES_DIR`` is consulted next, then ``<root>/rules``);
@@ -111,7 +107,7 @@ class LinkageService:
         self._lease = lease
         self._max_attempts = max_attempts
         self.queue: QueueBackend | None
-        self.queue, self._degraded_reason = resolve_queue(self.root, queue)
+        self.queue = resolve_queue(self.root, queue)
         if cache_dir is not None:
             self.cache_dir = cache_dir
         else:
@@ -133,12 +129,6 @@ class LinkageService:
         """Whether submissions execute in this process (no queue)."""
         return self.queue is None
 
-    @property
-    def degraded_reason(self) -> str | None:
-        """Why the service fell back to inline execution, or ``None``
-        when inline was requested or a queue is active."""
-        return self._degraded_reason
-
     def close(self) -> None:
         """Release the inline runner's engine, if one was created."""
         if self._inline_runner is not None:
@@ -155,7 +145,6 @@ class LinkageService:
     def submit(
         self,
         kind: str,
-        spec: dict | None = None,
         *,
         dataset: str | None = None,
         rule: RuleRef | str | dict | None = None,
@@ -199,48 +188,35 @@ class LinkageService:
         (``None`` consults ``REPRO_JOB_DEADLINE``, then unbounded); an
         exceeded deadline fails the job terminally with
         ``error="deadline"``.
-
-        Passing a raw ``spec`` dict positionally is the deprecated
-        pre-registry surface; it still works (one ``DeprecationWarning``)
-        but performs no reference resolution.
         """
-        if spec is not None:
-            warnings.warn(
-                "passing a spec dict to LinkageService.submit is "
-                "deprecated; use keyword fields "
-                "(submit('link', dataset=..., rule=...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        else:
-            spec = self._build_spec(
-                kind,
-                dataset=dataset,
-                rule=rule,
-                seed=seed,
-                scale=scale,
-                parent=parent,
-                upserts=upserts,
-                deletes=deletes,
-                population_size=population_size,
-                iterations=iterations,
-                publish=publish,
-            )
-            if isinstance(rule, (str, RuleRef)):
-                error = self._pin_rule_ref(spec, rule)
-                if error is not None:
-                    record = self.store.create(
-                        kind,
-                        spec,
-                        max_attempts=self._max_attempts,
-                        deadline=_resolve_deadline(deadline),
-                    )
-                    return self.store.transition(
-                        record.job_id,
-                        "failed",
-                        expect="queued",
-                        error=f"registry: {error}",
-                    )
+        spec = self._build_spec(
+            kind,
+            dataset=dataset,
+            rule=rule,
+            seed=seed,
+            scale=scale,
+            parent=parent,
+            upserts=upserts,
+            deletes=deletes,
+            population_size=population_size,
+            iterations=iterations,
+            publish=publish,
+        )
+        if isinstance(rule, (str, RuleRef)):
+            error = self._pin_rule_ref(spec, rule)
+            if error is not None:
+                record = self.store.create(
+                    kind,
+                    spec,
+                    max_attempts=self._max_attempts,
+                    deadline=_resolve_deadline(deadline),
+                )
+                return self.store.transition(
+                    record.job_id,
+                    "failed",
+                    expect="queued",
+                    error=f"registry: {error}",
+                )
         record = self.store.create(
             kind,
             spec,
@@ -330,54 +306,6 @@ class LinkageService:
         spec["rule_ref"] = str(version.ref)
         spec["rule_hash"] = version.rule_hash
         return None
-
-    def submit_link(
-        self,
-        dataset: str,
-        seed: int = 0,
-        scale: float = 1.0,
-        rule: dict | None = None,
-        deadline: float | None = None,
-    ) -> JobRecord:
-        """Deprecated shim for :meth:`submit` with ``kind="link"``."""
-        warnings.warn(
-            "LinkageService.submit_link is deprecated; use "
-            "submit('link', dataset=..., rule=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.submit(
-            "link",
-            dataset=dataset,
-            seed=seed,
-            scale=scale,
-            rule=rule,
-            deadline=deadline,
-        )
-
-    def submit_delta(
-        self,
-        parent: str,
-        seed: int = 0,
-        upserts: int = 0,
-        deletes: int = 0,
-        deadline: float | None = None,
-    ) -> JobRecord:
-        """Deprecated shim for :meth:`submit` with ``kind="delta"``."""
-        warnings.warn(
-            "LinkageService.submit_delta is deprecated; use "
-            "submit('delta', parent=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.submit(
-            "delta",
-            parent=parent,
-            seed=seed,
-            upserts=upserts,
-            deletes=deletes,
-            deadline=deadline,
-        )
 
     def _run_inline(self, record: JobRecord) -> JobRecord:
         """Degraded-mode execution: same transitions, same engine path,
@@ -535,21 +463,19 @@ class LinkageService:
     def health(self) -> dict:
         """One structured snapshot of queue, store, workers and jobs.
 
-        ``mode`` is ``"queue"`` or ``"inline"``; ``degraded_reason``
-        explains an involuntary fallback. ``workers`` lists liveness
-        records with a fresh heartbeat; ``store`` summarises the
-        shared persistent cache (including its circuit-breaker state).
+        ``mode`` is ``"queue"`` or ``"inline"``. ``workers`` lists
+        liveness records with a fresh heartbeat; ``store`` summarises
+        the shared persistent cache (including its circuit-breaker
+        state).
 
         ``degradations`` is the one schema every degraded path reports
         under: a list of ``{"component", "scope", "reason"}`` dicts,
-        where ``component`` is ``"queue"`` (backend fell back to
-        inline), ``"store"`` (a run recorded circuit-breaker trips via
-        ``MatchStats.degraded``) or ``"registry"`` (a job failed on
-        reference resolution or a schema gap), and ``scope`` is
-        ``"service"`` for service-wide conditions or the affected job
-        id. Empty means nothing degraded anywhere. Running the reaper
-        first means the snapshot reflects recovered state, not stale
-        claims.
+        where ``component`` is ``"store"`` (a run recorded
+        circuit-breaker trips via ``MatchStats.degraded``) or
+        ``"registry"`` (a job failed on reference resolution or a
+        schema gap), and ``scope`` is the affected job id. Empty means
+        nothing degraded anywhere. Running the reaper first means the
+        snapshot reflects recovered state, not stale claims.
         """
         if self.queue is not None:
             recover_stale(self.store, self.queue, lease=self._lease)
@@ -560,14 +486,6 @@ class LinkageService:
             except OSError:  # pragma: no cover - unreadable cache dir
                 store_info = None
         degradations: list[dict] = []
-        if self._degraded_reason:
-            degradations.append(
-                {
-                    "component": "queue",
-                    "scope": "service",
-                    "reason": self._degraded_reason,
-                }
-            )
         for record in self.store.records():
             for reason in (record.stats or {}).get("degraded") or []:
                 degradations.append(
@@ -590,7 +508,6 @@ class LinkageService:
                 )
         return {
             "mode": "inline" if self.queue is None else "queue",
-            "degraded_reason": self._degraded_reason,
             "queue": None if self.queue is None else self.queue.describe(),
             "jobs": self.store.state_counts(),
             "workers": live_workers(self.root, lease=self._lease),

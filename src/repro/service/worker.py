@@ -276,10 +276,7 @@ class JobRunner:
         store: JobStore,
         cancel: CancelToken | None = None,
     ):
-        import random
-
         from repro.core.serialization import rule_from_dict, rule_to_dict
-        from repro.matching.incremental import random_source_delta
 
         spec = record.spec
         parent = store.get(spec["parent"])
@@ -289,25 +286,25 @@ class JobRunner:
                 f"jobs build on a succeeded run"
             )
         previous = store.load_links(parent.job_id)
-        # Re-materialise the parent's sources (datasets are generated
-        # deterministically from name/seed/scale) and replay its rule.
-        dataset = self._sources(parent.spec)
+        # Walk up to the root link/learn job: its dataset is generated
+        # deterministically from name/seed/scale, and every ancestor
+        # delta replays onto it in order, re-materialising the parent's
+        # sources exactly.
+        ancestors = []
+        root = parent
+        while root.kind == "delta":
+            ancestors.append(root.spec)
+            root = store.get(root.spec["parent"])
+        dataset = self._sources(root.spec)
+        for ancestor in reversed(ancestors):
+            _replay_delta(dataset, ancestor)
         rule = (
             rule_from_dict(parent.result["rule"])
             if parent.result and parent.result.get("rule")
-            else self._rule(parent.spec)
+            else self._rule(root.spec)
         )
-        rng = random.Random(int(spec.get("seed", 0)))
-        upserts = int(spec.get("upserts", 0))
-        deletes = int(spec.get("deletes", 0))
         source_a, source_b = dataset.source_a, dataset.source_b
-        dedup = source_a is source_b
-        deltas_a = [random_source_delta(source_a, rng, upserts=upserts, deletes=deletes)]
-        deltas_b = (
-            deltas_a
-            if dedup
-            else [random_source_delta(source_b, rng, upserts=upserts, deletes=deletes)]
-        )
+        deltas_a, deltas_b = _replay_delta(dataset, spec)
         diff = self._engine.link_diff(
             rule,
             source_a,
@@ -333,6 +330,29 @@ class JobRunner:
             ),
         }
         return list(diff.links), stats_payload(diff.stats), result
+
+
+def _replay_delta(dataset, spec: dict) -> tuple[list, list]:
+    """Apply one delta job's seeded random delta to a dataset's sources
+    — A, then B unless deduplicating, from one ``rng`` — and return the
+    ``(deltas_a, deltas_b)`` chains it appended."""
+    import random
+
+    from repro.matching.incremental import random_source_delta
+
+    rng = random.Random(int(spec.get("seed", 0)))
+    upserts = int(spec.get("upserts", 0))
+    deletes = int(spec.get("deletes", 0))
+    source_a, source_b = dataset.source_a, dataset.source_b
+    deltas_a = [
+        random_source_delta(source_a, rng, upserts=upserts, deletes=deletes)
+    ]
+    if source_a is source_b:
+        return deltas_a, deltas_a
+    deltas_b = [
+        random_source_delta(source_b, rng, upserts=upserts, deletes=deletes)
+    ]
+    return deltas_a, deltas_b
 
 
 def _worker_dir(root: str | os.PathLike) -> Path:

@@ -18,6 +18,14 @@ from repro.data.reference_links import ReferenceLinkSet
 from repro.data.source import DataSource
 
 
+def pytest_configure(config):
+    # Numeric edge cases and deprecated calls are handled, never left
+    # to pass silently: a stray RuntimeWarning (an unmasked NaN path)
+    # or DeprecationWarning fails the test that raised it.
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(1234)

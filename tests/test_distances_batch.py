@@ -7,6 +7,7 @@ multi-valued properties and the min-over-pairs budget."""
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -171,11 +172,15 @@ def test_empty_columns(name):
 def test_huge_differences_clamp_to_sentinel():
     """The scalar min-over-pairs loop never returns more than the
     INFINITE_DISTANCE sentinel it starts from; the vectorized singleton
-    path must clamp identically (13-digit values, inf parses)."""
+    path must clamp identically (13-digit values, inf parses) — also
+    when both sides overflow to inf, where ``inf - inf`` must be
+    handled explicitly rather than warn."""
     measure = _REGISTRY.get("numeric")
-    columns_a = [("2000000000000",), ("9e999",), ("1",)]
-    columns_b = [("0",), ("1",), ("9e999",)]
-    batch = measure.evaluate_column(columns_a, columns_b)
+    columns_a = [("2000000000000",), ("9e999",), ("1",), ("1e400",)]
+    columns_b = [("0",), ("1",), ("9e999",), ("1e400",)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = measure.evaluate_column(columns_a, columns_b)
     expected = _reference(measure, columns_a, columns_b)
     np.testing.assert_array_equal(batch, expected)
     assert (batch == INFINITE_DISTANCE).all()

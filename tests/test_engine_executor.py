@@ -363,8 +363,8 @@ class TestShardedMatching:
             ]
         assert actual == expected
         stats = engine.last_run_stats()
-        assert stats.value_stats is not None
-        assert stats.value_stats.size > 0
+        assert stats.values is not None
+        assert stats.values.size > 0
 
     def test_last_run_stats(self):
         source_a, source_b = _sources(10)
@@ -375,7 +375,7 @@ class TestShardedMatching:
         assert stats.pairs == 100
         assert stats.batches == 13
         assert stats.links == len(links)
-        assert stats.value_stats.size > 0
+        assert stats.values.size > 0
 
     def test_process_rejects_shared_session(self):
         with pytest.raises(ValueError, match="process-pool"):

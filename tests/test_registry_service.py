@@ -1,6 +1,6 @@
 """Registry-backed jobs end to end: reference pinning, byte-parity,
 terminal resolution failures, the no-silent-zero-score gate, and the
-deprecation shims of the consolidated submission surface."""
+consolidated submission surface."""
 
 from __future__ import annotations
 
@@ -32,7 +32,11 @@ def direct_links(rule=None, seed: int = 0, scale: float = SCALE):
 
 @pytest.fixture()
 def service(tmp_path):
-    with LinkageService(root=tmp_path / "svc", queue="inline") as svc:
+    # An explicit rules dir keeps each test's registry private even when
+    # REPRO_RULES_DIR is set (as in CI's registry-smoke leg).
+    with LinkageService(
+        root=tmp_path / "svc", queue="inline", rules_dir=str(tmp_path / "rules")
+    ) as svc:
         yield svc
 
 
@@ -260,7 +264,7 @@ def test_publish_rejects_pinned_lineage(service):
         )
 
 
-# -- consolidated submission surface and shims -------------------------------
+# -- consolidated submission surface -----------------------------------------
 
 
 def test_submit_validates_keyword_fields(service):
@@ -276,34 +280,6 @@ def test_submit_validates_keyword_fields(service):
         service.submit("link", dataset=DATASET, publish="a/b/c")
     with pytest.raises(ValueError):
         service.submit("frobnicate", dataset=DATASET)
-
-
-def test_submit_link_shim_warns_and_works(service):
-    with pytest.warns(DeprecationWarning, match="submit_link"):
-        record = service.submit_link(DATASET, seed=0, scale=SCALE)
-    assert record.state == "succeeded"
-    assert service.links(record.job_id) == direct_links()
-
-
-def test_submit_delta_shim_warns_and_works(service):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        parent = service.submit_link(DATASET, seed=0, scale=SCALE)
-    with pytest.warns(DeprecationWarning, match="submit_delta"):
-        record = service.submit_delta(
-            parent.job_id, seed=1, upserts=2, deletes=1
-        )
-    assert record.state == "succeeded"
-    assert record.result["parent"] == parent.job_id
-
-
-def test_submit_spec_dict_warns_and_works(service):
-    with pytest.warns(DeprecationWarning, match="spec dict"):
-        record = service.submit(
-            "link", {"dataset": DATASET, "seed": 0, "scale": SCALE}
-        )
-    assert record.state == "succeeded"
-    assert service.links(record.job_id) == direct_links()
 
 
 def test_new_surface_emits_no_deprecation_warning(service):
@@ -337,18 +313,3 @@ def test_health_reports_registry_degradations(service):
     assert len(registry_entries) == 1
     assert registry_entries[0]["scope"] == record.job_id
     assert registry_entries[0]["reason"].startswith("registry:")
-
-
-def test_health_reports_queue_degradation_under_same_schema(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_SERVICE_QUEUE", raising=False)
-    monkeypatch.setenv("REPRO_REDIS_URL", "redis://nowhere.invalid:1/0")
-    with LinkageService(root=tmp_path / "svc", queue="redis") as svc:
-        health = svc.health()
-    queue_entries = [
-        entry
-        for entry in health["degradations"]
-        if entry["component"] == "queue"
-    ]
-    assert len(queue_entries) == 1
-    assert queue_entries[0]["scope"] == "service"
-    assert queue_entries[0]["reason"] == svc.degraded_reason

@@ -5,9 +5,8 @@ The contracts under test, in the order an operator cares about them:
 - **Byte-parity** — a job's links are identical to calling
   ``MatchingEngine.execute`` directly, whether the job ran inline
   (degraded, no queue) or through file-queue workers.
-- **Degradation** — an unavailable backend falls back to inline
-  execution with a recorded reason; links and record schema do not
-  change.
+- **Inline execution** — with no queue backend, jobs run in the
+  submitting process; links and record schema do not change.
 - **Crash recovery** — a worker dying mid-job (stale heartbeat)
   leads to a backoff retry that completes the job; exhausted attempt
   budgets fail it with the error recorded.
@@ -17,13 +16,14 @@ The contracts under test, in the order an operator cares about them:
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
 
 from repro.datasets import load_dataset
 from repro.matching.engine import MatchingEngine
-from repro.matching.incremental import dataset_rule
+from repro.matching.incremental import dataset_rule, random_source_delta, rebuilt
 from repro.service import (
     FileQueue,
     InvalidTransition,
@@ -113,54 +113,29 @@ def test_file_queue_orders_and_claims_exactly_once(tmp_path):
 
 def test_resolve_queue_backends(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_SERVICE_QUEUE", raising=False)
-    queue, reason = resolve_queue(tmp_path)
-    assert isinstance(queue, FileQueue) and reason is None
-
-    queue, reason = resolve_queue(tmp_path, "inline")
-    assert queue is None and reason is None  # chosen, not degraded
+    assert isinstance(resolve_queue(tmp_path), FileQueue)
+    assert resolve_queue(tmp_path, "inline") is None
 
     monkeypatch.setenv("REPRO_SERVICE_QUEUE", "none")
-    queue, reason = resolve_queue(tmp_path)
-    assert queue is None and reason is None
+    assert resolve_queue(tmp_path) is None
 
-    with pytest.raises(ValueError):
-        resolve_queue(tmp_path, "carrier-pigeon")
+    for unknown in ("carrier-pigeon", "redis"):
+        with pytest.raises(ValueError):
+            resolve_queue(tmp_path, unknown)
 
 
-# -- degradation -------------------------------------------------------------
+# -- inline execution --------------------------------------------------------
 
 
 def test_inline_service_matches_direct_execution(tmp_path):
     with LinkageService(root=tmp_path, queue="inline") as service:
-        assert service.inline and service.degraded_reason is None
+        assert service.inline
         record = service.submit("link", dataset=DATASET, seed=0, scale=SCALE)
         assert record.state == "succeeded"
         assert record.worker == "inline" and record.attempts == 1
         assert record.stats is not None and record.stats["links"] > 0
         links = service.links(record.job_id)
     assert links == direct_links()
-
-
-def test_unavailable_backend_degrades_with_reason(tmp_path):
-    # The container deliberately has no redis server; requesting the
-    # redis backend must degrade to inline, not fail, and the links
-    # must be the same as any other execution mode.
-    try:
-        import redis  # noqa: F401 - probe only
-    except ImportError:
-        pass
-    else:  # pragma: no cover - environment-dependent
-        from repro.service import RedisQueue
-
-        if RedisQueue.available():
-            pytest.skip("a live redis server is reachable here")
-    with LinkageService(root=tmp_path, queue="redis") as service:
-        assert service.inline
-        assert "redis" in (service.degraded_reason or "")
-        record = service.submit("link", dataset=DATASET, seed=0, scale=SCALE)
-        assert record.state == "succeeded"
-        assert service.links(record.job_id) == direct_links()
-        assert service.health()["degraded_reason"] == service.degraded_reason
 
 
 def test_inline_failure_is_recorded_not_raised(tmp_path):
@@ -231,6 +206,47 @@ def test_delta_job_builds_on_parent(tmp_path):
         assert counts >= delta.result["links"] > 0
         # Incremental work happened: some links carried over unscored.
         assert delta.result["kept_links"] > 0
+
+
+def test_chained_delta_job_equals_cold_execute_over_replayed_sources(tmp_path):
+    # A delta parented on a delta has no dataset of its own: the worker
+    # walks up to the root link job and replays every ancestor delta.
+    # Covers a deduplication dataset and a two-source one (where each
+    # delta mutates A, then B, from one rng).
+    steps = ((1, 4, 2), (2, 3, 1))
+    for name, scale in ((DATASET, SCALE), ("linkedmdb", 0.5)):
+        with LinkageService(root=tmp_path / name, queue="inline") as service:
+            job = service.submit("link", dataset=name, seed=0, scale=scale)
+            for seed, upserts, deletes in steps:
+                parent = job
+                job = service.submit(
+                    "delta",
+                    parent=parent.job_id,
+                    seed=seed,
+                    upserts=upserts,
+                    deletes=deletes,
+                )
+                assert job.state == "succeeded", job.error
+                assert job.result["parent"] == parent.job_id
+            served = service.links(job.job_id)
+
+        dataset = load_dataset(name, seed=0, scale=scale)
+        source_a, source_b = dataset.source_a, dataset.source_b
+        for seed, upserts, deletes in steps:
+            rng = random.Random(seed)
+            random_source_delta(source_a, rng, upserts=upserts, deletes=deletes)
+            if source_b is not source_a:
+                random_source_delta(
+                    source_b, rng, upserts=upserts, deletes=deletes
+                )
+        cold_a = rebuilt(source_a)
+        cold_b = cold_a if source_b is source_a else rebuilt(source_b)
+        engine = MatchingEngine()
+        try:
+            expected = engine.execute(dataset_rule(name), cold_a, cold_b)
+        finally:
+            engine.close()
+        assert served and served == expected
 
 
 # -- crash recovery ----------------------------------------------------------
@@ -407,7 +423,7 @@ def test_health_reports_queue_jobs_workers_and_store(tmp_path):
     )
 
     health = service.health()
-    assert health["mode"] == "queue" and health["degraded_reason"] is None
+    assert health["mode"] == "queue" and health["degradations"] == []
     assert health["queue"]["backend"] == "file"
     assert health["queue"]["depth"] == 0
     assert health["jobs"]["succeeded"] == 1
