@@ -16,6 +16,7 @@ comparisons over coordinates and dates carry an appropriate measure.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from repro.data.entity import Entity
 from repro.data.reference_links import Link
 from repro.data.source import DataSource
 from repro.distances.dates import parse_date
-from repro.distances.geographic import parse_point
+from repro.distances.geographic import haversine_metres, parse_point
 from repro.distances.levenshtein import levenshtein
 from repro.distances.numeric import parse_number
 
@@ -59,30 +60,49 @@ def _tokens(values: Sequence[str]) -> list[str]:
     return tokens
 
 
-def _levenshtein_compatible(
-    values_a: Sequence[str], values_b: Sequence[str], threshold: float
-) -> bool:
-    tokens_a = _tokens(values_a)
-    tokens_b = _tokens(values_b)
-    if not tokens_a or not tokens_b:
-        return False
-    bound = int(threshold)
-    for ta in tokens_a:
-        for tb in tokens_b:
-            if levenshtein(ta, tb, bound=bound) <= threshold:
-                return True
-    return False
+@dataclass(frozen=True)
+class _PropertyProfile:
+    """One property's values, parsed once for every detector.
+
+    ``tokens`` holds the distinct tokens of :func:`_tokens` (the cap
+    counts repeats, as the detector always did). ``dates`` are
+    proleptic ordinals: ``abs(oa - ob)`` equals ``abs((da - db).days)``.
+    ``numbers`` drops non-finite values: ``1e999`` parses to ``inf``,
+    which would be within any relative tolerance of every number.
+    """
+
+    tokens: tuple[str, ...]
+    points: tuple[tuple[float, float], ...]
+    dates: tuple[int, ...]
+    numbers: tuple[float, ...]
+
+
+def _profile(entity: Entity) -> list[tuple[str, _PropertyProfile]]:
+    """Parse and tokenise every property of ``entity`` once."""
+    profiles = []
+    for name in entity.property_names():
+        values = entity.values(name)
+        points = [p for v in values if (p := parse_point(v)) is not None]
+        dates = [d.toordinal() for v in values if (d := parse_date(v)) is not None]
+        numbers = [
+            n for v in values
+            if (n := parse_number(v)) is not None and math.isfinite(n)
+        ]
+        profile = _PropertyProfile(
+            tuple(dict.fromkeys(_tokens(values))),
+            tuple(points),
+            tuple(dates),
+            tuple(numbers),
+        )
+        profiles.append((name, profile))
+    return profiles
 
 
 def _geographic_compatible(
-    values_a: Sequence[str], values_b: Sequence[str], threshold: float = 100_000.0
+    points_a: Sequence[tuple[float, float]],
+    points_b: Sequence[tuple[float, float]],
+    threshold: float = 100_000.0,
 ) -> bool:
-    from repro.distances.geographic import haversine_metres
-
-    points_a = [p for v in values_a if (p := parse_point(v)) is not None]
-    points_b = [p for v in values_b if (p := parse_point(v)) is not None]
-    if not points_a or not points_b:
-        return False
     return any(
         haversine_metres(pa[0], pa[1], pb[0], pb[1]) <= threshold
         for pa in points_a
@@ -91,24 +111,14 @@ def _geographic_compatible(
 
 
 def _date_compatible(
-    values_a: Sequence[str], values_b: Sequence[str], threshold_days: float = 1000.0
+    dates_a: Sequence[int], dates_b: Sequence[int], threshold_days: float = 1000.0
 ) -> bool:
-    dates_a = [d for v in values_a if (d := parse_date(v)) is not None]
-    dates_b = [d for v in values_b if (d := parse_date(v)) is not None]
-    if not dates_a or not dates_b:
-        return False
-    return any(
-        abs((da - db).days) <= threshold_days for da in dates_a for db in dates_b
-    )
+    return any(abs(da - db) <= threshold_days for da in dates_a for db in dates_b)
 
 
 def _numeric_compatible(
-    values_a: Sequence[str], values_b: Sequence[str], tolerance: float = 0.1
+    numbers_a: Sequence[float], numbers_b: Sequence[float], tolerance: float = 0.1
 ) -> bool:
-    numbers_a = [n for v in values_a if (n := parse_number(v)) is not None]
-    numbers_b = [n for v in values_b if (n := parse_number(v)) is not None]
-    if not numbers_a or not numbers_b:
-        return False
     for na in numbers_a:
         for nb in numbers_b:
             scale = max(abs(na), abs(nb), 1.0)
@@ -134,6 +144,11 @@ def find_compatible_properties(
     schemata would otherwise flood the list). Results are ordered by
     descending support so callers can weight sampling towards strongly
     compatible pairs.
+
+    Each linked entity is parsed and tokenised once, into one
+    :class:`_PropertyProfile` per property; the detectors then compare
+    parsed sets, and token-pair edit distances are memoised across the
+    whole call (docs/engine.md, "Seeding (Algorithm 2)").
     """
     links = list(positive_links)
     if rng is not None:
@@ -142,11 +157,16 @@ def find_compatible_properties(
     if not links:
         return []
 
+    close_tokens: dict[tuple[str, str], bool] = {}
     support: dict[CompatibleProperty, int] = {}
     for uid_a, uid_b in links:
-        entity_a = source_a.get(uid_a)
-        entity_b = source_b.get(uid_b)
-        _analyse_pair(entity_a, entity_b, levenshtein_threshold, support)
+        _analyse_pair(
+            _profile(source_a.get(uid_a)),
+            _profile(source_b.get(uid_b)),
+            levenshtein_threshold,
+            close_tokens,
+            support,
+        )
 
     threshold_count = max(1, int(min_support * len(links)))
     ranked = sorted(support.items(), key=lambda item: (-item[1], str(item[0])))
@@ -154,24 +174,36 @@ def find_compatible_properties(
 
 
 def _analyse_pair(
-    entity_a: Entity,
-    entity_b: Entity,
+    profile_a: list[tuple[str, _PropertyProfile]],
+    profile_b: list[tuple[str, _PropertyProfile]],
     levenshtein_threshold: float,
+    close_tokens: dict[tuple[str, str], bool],
     support: dict[CompatibleProperty, int],
 ) -> None:
-    for prop_a in entity_a.property_names():
-        values_a = entity_a.values(prop_a)
-        for prop_b in entity_b.property_names():
-            values_b = entity_b.values(prop_b)
-            if _levenshtein_compatible(values_a, values_b, levenshtein_threshold):
-                key = CompatibleProperty(prop_a, prop_b, "levenshtein")
-                support[key] = support.get(key, 0) + 1
-            if _geographic_compatible(values_a, values_b):
-                key = CompatibleProperty(prop_a, prop_b, "geographic")
-                support[key] = support.get(key, 0) + 1
-            if _date_compatible(values_a, values_b):
-                key = CompatibleProperty(prop_a, prop_b, "date")
-                support[key] = support.get(key, 0) + 1
-            elif _numeric_compatible(values_a, values_b):
-                key = CompatibleProperty(prop_a, prop_b, "numeric")
-                support[key] = support.get(key, 0) + 1
+    bound = int(levenshtein_threshold)
+
+    def levenshtein_compatible(tokens_a, tokens_b) -> bool:
+        for ta in tokens_a:
+            for tb in tokens_b:
+                close = close_tokens.get((ta, tb))
+                if close is None:
+                    distance = levenshtein(ta, tb, bound=bound)
+                    close = close_tokens[ta, tb] = distance <= levenshtein_threshold
+                if close:
+                    return True
+        return False
+
+    def count(prop_a: str, prop_b: str, measure: str) -> None:
+        key = CompatibleProperty(prop_a, prop_b, measure)
+        support[key] = support.get(key, 0) + 1
+
+    for prop_a, a in profile_a:
+        for prop_b, b in profile_b:
+            if levenshtein_compatible(a.tokens, b.tokens):
+                count(prop_a, prop_b, "levenshtein")
+            if _geographic_compatible(a.points, b.points):
+                count(prop_a, prop_b, "geographic")
+            if _date_compatible(a.dates, b.dates):
+                count(prop_a, prop_b, "date")
+            elif _numeric_compatible(a.numbers, b.numbers):
+                count(prop_a, prop_b, "numeric")

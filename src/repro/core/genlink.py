@@ -104,6 +104,9 @@ class LearningResult:
     #: The final population, best fitness first (used by the active
     #: learning extension as a query-by-committee committee).
     final_population: list[LinkageRule] = field(default_factory=list)
+    #: Wall time of the seeding step (Algorithm 2: the compatible
+    #: property search behind the random rule generator), in seconds.
+    seeding_seconds: float = 0.0
 
     @property
     def iterations(self) -> int:
@@ -235,7 +238,9 @@ class GenLink:
                 validation_labels,
             )
 
+        seeding_start = time.perf_counter()
         generator = self.build_generator(source_a, source_b, train_links, rng)
+        seeding_seconds = time.perf_counter() - seeding_start
         population = generator.population(config.population_size)
         # Population-level evaluation: one compiled plan per generation
         # computes every unique comparison exactly once; the per-rule
@@ -260,7 +265,9 @@ class GenLink:
 
         selector = TournamentSelector(config.tournament_size)
         history: list[IterationRecord] = []
-        result = LearningResult(best_rule=population[0])
+        result = LearningResult(
+            best_rule=population[0], seeding_seconds=seeding_seconds
+        )
         best_so_far: LinkageRule | None = None
 
         def record(iteration: int) -> IterationRecord:

@@ -1,12 +1,23 @@
 """Tests for the compatible property search (Algorithm 2)."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.core.compatible import CompatibleProperty, find_compatible_properties
-from repro.data.entity import Entity
-from repro.data.source import DataSource
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from _seed_compatible import (  # noqa: E402  (path set up above)
+    seed_find_compatible_properties,
+)
+from repro.core.compatible import (  # noqa: E402
+    CompatibleProperty,
+    find_compatible_properties,
+)
+from repro.data.entity import Entity  # noqa: E402
+from repro.data.source import DataSource  # noqa: E402
+from repro.datasets import load_dataset  # noqa: E402
 
 
 def _sources():
@@ -89,3 +100,75 @@ class TestFindCompatibleProperties:
         pairs = find_compatible_properties(source_a, source_b, links)
         # label/name holds on all three links and should rank first.
         assert pairs[0].source_property == "label"
+
+    def test_non_finite_numbers_are_not_numeric_compatible(self):
+        # "1e999" parses to inf, and |inf - 42| <= 0.1 * inf holds, so an
+        # overflowing number used to match every numeric property.
+        source_a = DataSource(
+            "A", [Entity("a1", {"mass": "1e999 kg", "low": "-1e999"})]
+        )
+        source_b = DataSource("B", [Entity("b1", {"weight": "42"})])
+        pairs = find_compatible_properties(source_a, source_b, [("a1", "b1")])
+        assert not any(p.measure == "numeric" for p in pairs)
+
+    def test_finite_number_next_to_non_finite_still_detected(self):
+        source_a = DataSource("A", [Entity("a1", {"mass": ["1e999", "41"]})])
+        source_b = DataSource("B", [Entity("b1", {"weight": "42"})])
+        pairs = find_compatible_properties(source_a, source_b, [("a1", "b1")])
+        assert CompatibleProperty("mass", "weight", "numeric") in pairs
+
+    def test_repeated_entities_counted_per_link(self):
+        # One entity in two links: support counts once per link.
+        source_a = DataSource("A", [Entity("a1", {"label": "Berlin"})])
+        source_b = DataSource(
+            "B",
+            [Entity("b1", {"name": "berlin"}), Entity("b2", {"name": "berlim"})],
+        )
+        links = [("a1", "b1"), ("a1", "b2")]
+        pairs = find_compatible_properties(
+            source_a, source_b, links, min_support=1.0
+        )
+        assert pairs == [CompatibleProperty("label", "name", "levenshtein")]
+
+
+    def test_token_cap_counts_repeated_tokens(self):
+        # Only the first 24 tokens of a value set are compared, repeats
+        # included, so a label after 24 filler tokens is never seen.
+        capped = "qqqq " * 24 + "berlin"
+        source_a = DataSource(
+            "A", [Entity("a1", {"capped": capped, "short": "qqqq berlin"})]
+        )
+        source_b = DataSource("B", [Entity("b1", {"name": "berlin"})])
+        pairs = find_compatible_properties(source_a, source_b, [("a1", "b1")])
+        assert pairs == [CompatibleProperty("short", "name", "levenshtein")]
+
+
+#: (dataset, scale) pairs small enough that the frozen strptime-based
+#: oracle stays cheap; ``max_links`` keeps the widest schemata fast and
+#: puts every support count above the min-support cut.
+_PARITY_SCALES = {
+    "cora": 0.05,
+    "restaurant": 0.1,
+    "sider_drugbank": 0.05,
+    "nyt": 0.05,
+    "linkedmdb": 0.1,
+    "dbpedia_drugbank": 0.05,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", sorted(_PARITY_SCALES))
+def test_matches_frozen_oracle_on_bundled_datasets(name, seed):
+    """Parsing each entity once must not change a single compatible
+    pair, nor the order of the list, against the frozen per-pair
+    seeding (``benchmarks/_seed_compatible.py``)."""
+    dataset = load_dataset(name, seed=seed, scale=_PARITY_SCALES[name])
+    args = (dataset.source_a, dataset.source_b, dataset.links.positive)
+    live = find_compatible_properties(
+        *args, max_links=6, rng=random.Random(seed)
+    )
+    frozen = seed_find_compatible_properties(
+        *args, max_links=6, rng=random.Random(seed)
+    )
+    assert live
+    assert live == frozen

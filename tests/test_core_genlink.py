@@ -78,6 +78,16 @@ class TestGenLinkLearning:
         assert [r.iteration for r in result.history] == [0, 1, 2, 3, 4, 5]
         assert all(r.seconds >= 0 for r in result.history)
 
+    def test_seeding_seconds_reported(self):
+        source_a, source_b, links = _learnable_task()
+        config = GenLinkConfig(
+            population_size=20, max_iterations=1, stop_f_measure=2.0
+        )
+        result = GenLink(config).learn(source_a, source_b, links, rng=1)
+        # Seeding runs before generation 0 is recorded, inside the same
+        # clock that times the history.
+        assert 0.0 < result.seeding_seconds <= result.history[0].seconds
+
     def test_train_f_measure_monotone_with_elitism(self):
         source_a, source_b, links = _learnable_task()
         config = GenLinkConfig(
