@@ -26,6 +26,11 @@ import numpy as np
 #: arithmetic on it stays well-behaved (no NaNs in score vectors).
 INFINITE_DISTANCE = 1.0e12
 
+#: Value pairs :func:`min_over_pairs` compares before it stops
+#: (``strings.batch_pair_column`` expands cross products to the same
+#: cap).
+MAX_PAIRS = 256
+
 #: A column of value sets, one entry per candidate pair. Entries are the
 #: transformed value tuples the engine materialises per unique entity,
 #: so the same tuple object typically recurs across many rows.
@@ -261,7 +266,7 @@ def min_over_pairs(
     values_a: Sequence[str],
     values_b: Sequence[str],
     pair_distance: Callable[[str, str], float],
-    max_pairs: int = 256,
+    max_pairs: int = MAX_PAIRS,
 ) -> float:
     """Lift a pairwise distance to value sets via the minimum.
 

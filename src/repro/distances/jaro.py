@@ -119,7 +119,7 @@ class JaroDistance(DistanceMeasure):
             )
 
         return batch_pair_column(
-            columns_a, columns_b, kernel, self.evaluate, memo=memo, name=self.name
+            columns_a, columns_b, kernel, memo=memo, name=self.name
         )
 
 

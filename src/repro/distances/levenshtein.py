@@ -7,10 +7,11 @@ O(n*m) cost into O(n*bound), which is what makes pure-Python GP fitness
 evaluation feasible at paper scale.
 
 Both measures also expose vectorized batch kernels
-(:mod:`repro.distances.strings`): the numpy backend runs the clamped DP
-as row sweeps across the whole pair column at once, and the optional
-``rapidfuzz`` backend maps the clamp contract onto ``score_cutoff``.
-The scalar functions here stay the bit-identical parity oracle.
+(:mod:`repro.distances.strings`): the numpy backend runs a bit-parallel
+edit distance across the whole pair column at once and clamps it to
+the bound, and the optional ``rapidfuzz`` backend maps the clamp
+contract onto ``score_cutoff``. The scalar functions here stay the
+bit-identical parity oracle.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ def levenshtein(a: str, b: str, bound: int | None = None) -> float:
     ``min(distance, bound + 1)``: every out-of-range pair reports
     ``bound + 1``, regardless of which shortcut detected it. The callers
     only need "out of range", but pinning the clamped value is what lets
-    every batch backend (numpy row-DP, rapidfuzz ``score_cutoff``)
-    produce bit-identical columns.
+    every batch backend (numpy bit-parallel kernel, rapidfuzz
+    ``score_cutoff``) produce bit-identical columns.
     """
     if a == b:
         return 0.0
@@ -143,7 +144,7 @@ class LevenshteinDistance(DistanceMeasure):
             def kernel(strings_a, strings_b):
                 return levenshtein_pairs(strings_a, strings_b, bound, memo=memo)
         return batch_pair_column(
-            columns_a, columns_b, kernel, self.evaluate, memo=memo, name=self.name
+            columns_a, columns_b, kernel, memo=memo, name=self.name
         )
 
 
@@ -192,5 +193,5 @@ class NormalizedLevenshteinDistance(DistanceMeasure):
             return out
 
         return batch_pair_column(
-            columns_a, columns_b, kernel, self.evaluate, memo=memo, name=self.name
+            columns_a, columns_b, kernel, memo=memo, name=self.name
         )

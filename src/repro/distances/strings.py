@@ -5,18 +5,16 @@ last measures still running the deduplicated per-pair Python fallback in
 ``DistanceMeasure.evaluate_column``. This module gives them real batch
 kernels over **pre-encoded integer code matrices**:
 
-* :func:`levenshtein_pairs` — a clamped edit-distance DP run as numpy
-  row sweeps across the whole distinct-pair column at once. Strings are
-  encoded once into int32 code-point arrays (UTF-32 — one code per
-  Python character, so batch equality is exactly ``str`` equality),
-  padded into per-chunk matrices, and the classic row recurrence is
-  evaluated for all pairs simultaneously; the sequential insertion
-  dependency inside a row becomes a logarithmic min-plus doubling scan.
-  The band contract: every intermediate cell is clamped at
-  ``bound + 1``, which provably yields ``min(true_distance, bound + 1)``
-  per pair, the length-difference pre-filter is one vectorized mask,
-  and pairs whose entire DP row hits the clamp are retired early
-  (the batch analogue of the scalar loop's early exit).
+* :func:`levenshtein_pairs` — exact edit distances from Myers'
+  bit-parallel recurrence in Hyyrö's multi-word block form, vectorized
+  across the whole distinct-pair column: strings are encoded once into
+  int32 code-point arrays (UTF-32 — one code per Python character, so
+  batch equality is exactly ``str`` equality), the shorter string of
+  each pair becomes a bit-vector pattern with a per-chunk match-mask
+  (Eq) table over a compact alphabet, and each character of the longer
+  string advances every pair's DP column by a handful of uint64 word
+  operations. Bounded calls clamp the exact distance to ``bound + 1``
+  (the scalar contract), after a vectorized length-gap pre-filter.
 * :func:`jaro_pairs` — bulk Jaro / Jaro-Winkler over the same encoded
   matrices: the greedy match-window scan runs one character position at
   a time across all pairs (first-fit ``argmax`` per row reproduces the
@@ -56,7 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.distances.base import INFINITE_DISTANCE
+from repro.distances.base import INFINITE_DISTANCE, MAX_PAIRS
 
 #: Environment variable selecting the string-kernel backend
 #: (``numpy`` | ``rapidfuzz`` | ``python`` | ``auto``; unset = numpy).
@@ -67,10 +65,11 @@ BACKEND_ENV = "REPRO_ENGINE_STRING_BACKEND"
 #: blocking probe memo.
 _MEMO_LIMIT = 65536
 
-#: Cell budget for one padded DP/matching matrix (rows x width). Chunks
-#: are cut so no intermediate matrix exceeds this many int32 cells,
-#: which keeps one pathologically long string from inflating the
-#: padding of thousands of short ones.
+#: Cell budget of one kernel chunk. Jaro chunks are cut so no padded
+#: matching matrix (rows x width) exceeds this many int32 cells, and
+#: levenshtein chunks so their Eq table, gather keys and state stay
+#: within this many uint64 words, which keeps one pathologically long
+#: string from inflating the padding of thousands of short ones.
 _CELL_BUDGET = 1 << 20
 
 _RAPIDFUZZ: object = None  # None = unprobed, False = unavailable
@@ -316,55 +315,39 @@ def levenshtein_pairs(
 
     With ``bound`` the result is exactly ``min(d, bound + 1)`` per pair
     — the scalar :func:`repro.distances.levenshtein.levenshtein`
-    contract. The DP runs as vectorized row sweeps over all pairs at
-    once; every cell is clamped at ``bound + 1`` (which by induction
-    clamps the final value and nothing else), ``|len(a) - len(b)| >
-    bound`` pairs are pre-filtered as one mask, and pairs whose whole
-    DP row reaches the clamp retire early.
+    contract. Equal strings, an empty side and (with a bound) a length
+    gap above the bound are settled by vectorized masks; every other
+    pair gets its exact distance from the bit-parallel kernel
+    (:func:`_myers_chunk`), and the bound clamp is applied last.
     """
     count = len(strings_a)
-    out = np.empty(count, dtype=np.float64)
     if count == 0:
-        return out
+        return np.empty(0, dtype=np.float64)
     la = np.fromiter(map(len, strings_a), np.int64, count)
     lb = np.fromiter(map(len, strings_b), np.int64, count)
     eq = np.fromiter(
         (x == y for x, y in zip(strings_a, strings_b)), np.bool_, count
     )
+    slen = np.minimum(la, lb)
+    llen = np.maximum(la, lb)
+    # An empty side costs the other side's length; a length gap above
+    # the bound already clamps (|la - lb| <= d <= llen).
+    out = llen.astype(np.float64)
     out[eq] = 0.0
-    todo = ~eq
+    todo = ~eq & (slen > 0)
     if bound is not None:
-        over = (np.abs(la - lb) > bound) & todo
-        out[over] = float(bound + 1)
-        todo &= ~over
+        todo &= np.abs(la - lb) <= bound
     indexes = np.flatnonzero(todo)
-    if indexes.size == 0:
-        return out
-    encode = memo.codes if memo is not None else _local_encoder()
-    shorts: list[np.ndarray] = []
-    longs: list[np.ndarray] = []
-    for i in indexes.tolist():
-        a, b = strings_a[i], strings_b[i]
-        if len(a) > len(b):
-            a, b = b, a
-        shorts.append(encode(a))
-        longs.append(encode(b))
-    slen = np.minimum(la[indexes], lb[indexes])
-    llen = np.maximum(la[indexes], lb[indexes])
-    if bound is not None:
-        cap = bound + 1
-    else:
-        cap = int(llen.max()) + 1  # unreachable: d <= max(la, lb)
-    order = np.argsort(llen, kind="stable")
-    for chunk in _budget_chunks(order, slen, llen):
-        rows = _lev_chunk(
-            [shorts[i] for i in chunk.tolist()],
-            [longs[i] for i in chunk.tolist()],
-            slen[chunk],
-            llen[chunk],
-            cap,
+    if indexes.size:
+        out[indexes] = _myers_distances(
+            [strings_a[i] for i in indexes.tolist()],
+            [strings_b[i] for i in indexes.tolist()],
+            la[indexes],
+            lb[indexes],
+            memo.codes if memo is not None else encode_string,
         )
-        out[indexes[chunk]] = rows
+    if bound is not None:
+        np.minimum(out, float(bound + 1), out=out)
     return out
 
 
@@ -395,69 +378,234 @@ def _pad_codes(arrays: list[np.ndarray], width: int, fill: int) -> np.ndarray:
     return matrix
 
 
-def _lev_chunk(
+_ONE = np.uint64(1)
+
+
+def _myers_distances(
+    strings_a: list[str],
+    strings_b: list[str],
+    la: np.ndarray,
+    lb: np.ndarray,
+    encode: Callable[[str], np.ndarray],
+) -> np.ndarray:
+    """Exact edit distances of non-empty, unequal pairs.
+
+    The shorter string of each pair is the bit-vector pattern (one bit
+    per character, ``ceil(len / 64)`` words), the longer one the text
+    scanned column by column. Pairs are sorted by (words, text length)
+    and cut into budgeted chunks of one word count each.
+    """
+    interned: dict[str, int] = {}
+    ids_a = np.fromiter(
+        (interned.setdefault(v, len(interned)) for v in strings_a),
+        np.int64,
+        len(strings_a),
+    )
+    ids_b = np.fromiter(
+        (interned.setdefault(v, len(interned)) for v in strings_b),
+        np.int64,
+        len(strings_b),
+    )
+    codes = [encode(v) for v in interned]
+    swap = la > lb
+    short_id = np.where(swap, ids_b, ids_a)
+    long_id = np.where(swap, ids_a, ids_b)
+    slen = np.minimum(la, lb)
+    llen = np.maximum(la, lb)
+    words = (slen + 63) >> 6
+    order = np.lexsort((llen, words))
+    # Compact alphabet of every pattern plus the "no match" slot: an
+    # upper bound on any chunk's Eq-table width, used to cut chunks.
+    patterns = [codes[k] for k in _distinct_sorted(short_id).tolist()]
+    slots = _distinct_sorted(np.concatenate(patterns)).size + 1
+    distances = np.empty(slen.size, dtype=np.int64)
+    for chunk in _myers_chunks(order, words, llen, short_id, slots):
+        distinct, local = np.unique(short_id[chunk], return_inverse=True)
+        distances[chunk] = _myers_chunk(
+            [codes[k] for k in distinct.tolist()],
+            local,
+            [codes[k] for k in long_id[chunk].tolist()],
+            slen[chunk],
+            llen[chunk],
+        )
+    return distances
+
+
+def _myers_chunks(
+    order: np.ndarray,
+    words: np.ndarray,
+    llen: np.ndarray,
+    short_id: np.ndarray,
+    slots: int,
+):
+    """Split ``order`` (sorted by words, then text length) into chunks
+    of one word count whose memory stays within the cell budget.
+
+    A chunk of ``P`` pairs over ``S`` distinct patterns costs
+    ``S * slots * words`` Eq-table words plus, per pair, its text-length
+    column of gather keys and the ``2 * words`` state words with a few
+    temporaries. Each term only grows as a chunk extends (texts are
+    sorted ascending), so the longest affordable chunk is one
+    ``searchsorted`` over the running cost; a chunk holds at least one
+    pair, whose own Eq table :func:`_myers_chunk` then splits into
+    word strips.
+    """
+    words = words[order]
+    llen = llen[order]
+    ids = short_id[order]
+    # prev[k]: last earlier position of the same pattern (-1 if none),
+    # so a chunk starting at s holds count(prev < s) distinct patterns.
+    prev = np.full(order.size, -1, dtype=np.int64)
+    by_id = np.argsort(ids, kind="stable")
+    same = ids[by_id[1:]] == ids[by_id[:-1]]
+    prev[by_id[1:][same]] = by_id[:-1][same]
+    start = 0
+    while start < order.size:
+        width = int(words[start])
+        stop = start + int(np.searchsorted(words[start:], width, side="right"))
+        # Every pair costs over 8 words: this only bounds the scan.
+        stop = min(stop, start + _CELL_BUDGET // 8)
+        distinct = np.cumsum(prev[start:stop] < start)
+        pairs = np.arange(1, stop - start + 1, dtype=np.int64)
+        cost = distinct * (slots * width) + pairs * (llen[start:stop] + 2 * width + 8)
+        end = start + max(1, int(np.searchsorted(cost, _CELL_BUDGET, side="right")))
+        yield order[start:end]
+        start = end
+
+
+def _distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` without the options-free path's import of
+    ``numpy.ma`` (about 1 MB of resident memory for an ``is_masked``
+    check)."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _flat_positions(lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner index and in-array position of every element of the
+    concatenation of arrays with lengths ``lens``."""
+    owner = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
+    position = np.arange(owner.size, dtype=np.int64) - np.repeat(
+        np.cumsum(lens) - lens, lens
+    )
+    return owner, position
+
+
+def _myers_chunk(
     shorts: list[np.ndarray],
+    short_of: np.ndarray,
     longs: list[np.ndarray],
     slen: np.ndarray,
     llen: np.ndarray,
-    cap: int,
 ) -> np.ndarray:
-    """Clamped edit distances for one padded chunk (all pairs at once).
+    """Exact edit distances for one chunk, bit-parallel across pairs.
 
-    Row sweep over the longer strings: ``prev``/``cur`` hold one DP row
-    per pair. The in-row insertion dependency is resolved by a min-plus
-    doubling scan (after step ``s``, ``cur[i]`` covers insertion chains
-    up to ``2^s`` long — log2(width) vector ops instead of a sequential
-    scan). Cells clamp at ``cap``; a pair whose whole row clamps can
-    never come back under it (distances are bounded below by row
-    minima along any alignment path), so those pairs retire with
-    ``cap`` immediately — the vectorized early exit.
+    Myers' recurrence in Hyyrö's block form: ``pv``/``mv`` hold the
+    +1/-1 vertical deltas of the current DP column, one bit per pattern
+    character, as ``(words, pairs)`` uint64 arrays. Each text character
+    advances every word low to high; a word's top-row horizontal delta
+    (``hout``) is the next word's ``hin``, so no addition carry crosses
+    a word boundary. Word 0 gets ``hin = +1`` (row 0 of a global
+    alignment is ``D[0][j] = j``). Bits above row ``m`` only ever
+    influence higher bits, so their contents are irrelevant; the
+    distance is read once at the end from the final column.
+
+    ``shorts`` are the chunk's distinct patterns (``short_of`` maps each
+    pair to one), all spanning the same number of words. Pairs are
+    sorted by text length, so the pairs still scanning column ``j`` are
+    a suffix of the chunk and shorter texts simply drop out.
     """
-    width = int(slen.max()) if slen.size else 0
-    a_matrix = _pad_codes(shorts, max(width, 1), -1)
-    b_matrix = _pad_codes(longs, int(llen.max()), -2)
-    size = len(shorts)
-    results = np.empty(size, dtype=np.int32)
-    prev = np.minimum(np.arange(width + 1, dtype=np.int32), cap)
-    prev = np.broadcast_to(prev, (size, width + 1)).copy()
-    pending = np.arange(size)
-    sw, lw = slen.astype(np.int64), llen.astype(np.int64)
-    j = 1
-    while pending.size:
-        column = b_matrix[:, j - 1][:, None]
-        cur = np.empty((pending.size, width + 1), dtype=np.int32)
-        cur[:, 0] = min(j, cap)
-        np.minimum(
-            prev[:, :-1] + (a_matrix[:, :width] != column),
-            prev[:, 1:] + 1,
-            out=cur[:, 1:],
+    count = len(longs)
+    words = (int(slen[0]) + 63) >> 6
+    width = int(llen[-1])
+    short_lens = np.fromiter(map(len, shorts), np.int64, len(shorts))
+    short_codes = np.concatenate(shorts)
+    alphabet = _distinct_sorted(short_codes)
+    slots = alphabet.size + 1
+    owner, position = _flat_positions(short_lens)
+    cells = owner * slots + np.searchsorted(alphabet, short_codes)
+    # Gather keys: column j of pair p reads Eq-table cell
+    # (pattern, compact code of the text's j-th character); characters
+    # outside the pattern alphabet read the all-zero "no match" slot.
+    long_codes = np.concatenate(longs)
+    code = np.minimum(np.searchsorted(alphabet, long_codes), alphabet.size - 1)
+    code[alphabet[code] != long_codes] = alphabet.size
+    pair, column = _flat_positions(llen)
+    keys = np.zeros((width, count), dtype=np.intp)
+    keys[column, pair] = short_of[pair] * slots + code
+    starts = np.searchsorted(llen, np.arange(width), side="right")
+
+    pv = np.full((words, count), ~np.uint64(0), dtype=np.uint64)
+    mv = np.zeros((words, count), dtype=np.uint64)
+    # The Eq table is built for a strip of words at a time; ordinary
+    # chunks fit in one strip, a single huge pattern gets several, with
+    # each column's horizontal delta out of a strip carried into the
+    # next one.
+    strip = max(1, min(words, _CELL_BUDGET // (len(shorts) * slots)))
+    carry = None
+    for low in range(0, words, strip):
+        high = min(words, low + strip)
+        inside = (position >> 6 >= low) & (position >> 6 < high)
+        table = np.zeros((high - low, len(shorts) * slots), dtype=np.uint64)
+        np.bitwise_or.at(
+            table,
+            ((position[inside] >> 6) - low, cells[inside]),
+            _ONE << (position[inside] & 63).astype(np.uint64),
         )
-        np.minimum(cur, cap, out=cur)
-        shift = 1
-        while shift <= width:
-            cur[:, shift:] = np.minimum(
-                cur[:, shift:], cur[:, :-shift] + shift
+        out_carry = None
+        if high < words:
+            out_carry = (
+                np.zeros((width, count), dtype=np.uint64),
+                np.zeros((width, count), dtype=np.uint64),
             )
-            shift <<= 1
-        np.minimum(cur, cap, out=cur)
-        done = lw == j
-        finished = done | (cur.min(axis=1) >= cap)
-        if finished.any():
-            if done.any():
-                results[pending[done]] = cur[done, sw[done]]
-            capped = finished & ~done
-            if capped.any():
-                results[pending[capped]] = cap
-            keep = ~finished
-            pending = pending[keep]
-            a_matrix = a_matrix[keep]
-            b_matrix = b_matrix[keep]
-            sw, lw = sw[keep], lw[keep]
-            prev = cur[keep]
-        else:
-            prev = cur
-        j += 1
-    return results.astype(np.float64)
+        for j in range(width):
+            s = int(starts[j])
+            key = keys[j, s:]
+            if carry is None:
+                h_plus, h_minus = _ONE, None
+            else:
+                h_plus, h_minus = carry[0][j, s:], carry[1][j, s:]
+            for w in range(low, high):
+                eq = table[w - low].take(key)
+                p = pv[w, s:]
+                m = mv[w, s:]
+                xv = eq | m
+                if h_minus is not None:
+                    eq |= h_minus
+                xh = ((eq & p) + p) ^ p
+                xh |= eq
+                ph = ~(xh | p)
+                ph |= m
+                mh = p & xh
+                if w < words - 1:
+                    out_plus, out_minus = ph >> 63, mh >> 63
+                ph <<= _ONE
+                ph |= h_plus
+                mh <<= _ONE
+                if h_minus is not None:
+                    mh |= h_minus
+                np.bitwise_or(mh, ~(xv | ph), out=p)
+                np.bitwise_and(ph, xv, out=m)
+                if w < words - 1:
+                    h_plus, h_minus = out_plus, out_minus
+            if out_carry is not None:
+                out_carry[0][j, s:] = h_plus
+                out_carry[1][j, s:] = h_minus
+        carry = out_carry
+    # A pair's state stops changing after its last text character, so
+    # every column is now final: D[m][n] = D[0][n] + the sum of its
+    # vertical deltas over rows 1..m (rows above m are masked off).
+    rows_in_last = (slen - 64 * (words - 1)).astype(np.uint64)
+    last_mask = ~np.uint64(0) >> (np.uint64(64) - rows_in_last)
+    pv[-1] &= last_mask
+    mv[-1] &= last_mask
+    return (
+        llen
+        + np.bitwise_count(pv).sum(axis=0, dtype=np.int64)
+        - np.bitwise_count(mv).sum(axis=0, dtype=np.int64)
+    )
 
 
 def rapidfuzz_levenshtein_pairs(
@@ -660,12 +808,8 @@ def _gather_sets(sets: list[np.ndarray], count: int):
         else np.zeros(0, np.int64)
     )
     lens = pool_lens[inverse]
-    starts = pool_offsets[inverse]
-    total = int(lens.sum())
-    positions = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens
-    )
-    return pool[np.repeat(starts, lens) + positions], lens
+    owner, positions = _flat_positions(lens)
+    return pool[pool_offsets[inverse][owner] + positions], lens
 
 
 def set_algebra_column(
@@ -683,42 +827,14 @@ def set_algebra_column(
     measure's arithmetic (which must keep the scalar operation order
     for bit-parity).
     """
-    if len(columns_a) != len(columns_b):
-        raise ValueError(
-            f"column length mismatch: {len(columns_a)} vs {len(columns_b)}"
-        )
-    n = len(columns_a)
-    out = np.full(n, INFINITE_DISTANCE, dtype=np.float64)
-    if n == 0:
+    out = np.full(len(columns_a), INFINITE_DISTANCE, dtype=np.float64)
+    combos = _distinct_combos(columns_a, columns_b)
+    if combos is None:
         return out
-    # Row dedup, vectorized: unique each side's tuple identities (the
-    # engine hands out one tuple object per unique entity), then unique
-    # the combination of the two small inverse indexes — cheaper than
-    # one np.unique over (id, id) rows.
-    ids_a = np.fromiter(map(id, columns_a), np.int64, n)
-    ids_b = np.fromiter(map(id, columns_b), np.int64, n)
-    lens_a = np.fromiter(map(len, columns_a), np.int64, n)
-    lens_b = np.fromiter(map(len, columns_b), np.int64, n)
-    rows = np.flatnonzero((lens_a > 0) & (lens_b > 0))
-    if rows.size == 0:
-        return out
-    _, first_a, inv_a = np.unique(
-        ids_a[rows], return_index=True, return_inverse=True
-    )
-    _, first_b, inv_b = np.unique(
-        ids_b[rows], return_index=True, return_inverse=True
-    )
+    rows, tuples_a, tuples_b, select_a, select_b, row_combo = combos
     local = memo if memo is not None else StringKernelMemo()
-    sets_a, _ = local.token_sets([columns_a[i] for i in rows[first_a].tolist()])
-    sets_b, token_space = local.token_sets(
-        [columns_b[i] for i in rows[first_b].tolist()]
-    )
-    combo_key = inv_a * np.int64(first_b.size) + inv_b
-    _, first_combo, row_combo = np.unique(
-        combo_key, return_index=True, return_inverse=True
-    )
-    select_a = inv_a[first_combo]
-    select_b = inv_b[first_combo]
+    sets_a, _ = local.token_sets(tuples_a)
+    sets_b, token_space = local.token_sets(tuples_b)
     intersections = _distinct_intersections(
         sets_a, sets_b, select_a, select_b, token_space
     )
@@ -786,83 +902,130 @@ def _bitset_pack(sets: list[np.ndarray], words: int) -> np.ndarray:
 
 # -- shared pairwise driver -----------------------------------------------------
 
+#: Value pairs :func:`batch_pair_column` expands per kernel call.
+_EXPANSION_LIMIT = 1 << 18
+
 
 def batch_pair_column(
     columns_a,
     columns_b,
     pair_kernel: Callable[[list[str], list[str]], np.ndarray],
-    evaluate,
     memo: StringKernelMemo | None = None,
     name: str | None = None,
 ) -> np.ndarray:
     """Batch driver for measures lifting a pairwise string distance via
-    ``min_over_pairs``: deduplicate rows per distinct value-set
-    combination, run every singleton-singleton combination's string
-    pair through one ``pair_kernel`` call (vectorized across the whole
-    column), and replay multi-valued combinations through the scalar
-    oracle ``evaluate`` — the per-pair fallback, counted as such in the
-    routing statistics.
+    ``min_over_pairs``, bit-identical to it.
+
+    Rows collapse to distinct value-tuple combinations; each
+    combination's cross product expands in ``min_over_pairs`` order
+    (values of ``a`` outer, ``b`` inner), capped at its ``MAX_PAIRS``
+    budget; every distinct string pair of every combination then runs
+    through one ``pair_kernel`` call, and ``np.minimum.reduceat`` takes
+    each combination's minimum. The minimum is exact, so the early exit
+    at 0.0 and the first-values-win budget reduce to the same value.
+    Like the scalar loop, no result exceeds the ``INFINITE_DISTANCE``
+    it starts from.
+    """
+    out = np.full(len(columns_a), INFINITE_DISTANCE, dtype=np.float64)
+    combos = _distinct_combos(columns_a, columns_b)
+    if combos is None:
+        return out
+    rows, tuples_a, tuples_b, select_a, select_b, row_combo = combos
+    # Intern every value of the distinct tuples: value k of tuple t
+    # sits at flat[start[t] + k].
+    interned: dict[str, int] = {}
+    flat_a, start_a, size_a = _intern_values(tuples_a, interned)
+    flat_b, start_b, size_b = _intern_values(tuples_b, interned)
+    pool = list(interned)
+    start_a, size_a = start_a[select_a], size_a[select_a]
+    start_b, size_b = start_b[select_b], size_b[select_b]
+    budget = np.minimum(size_a * size_b, MAX_PAIRS)
+    ends = np.cumsum(budget)
+    values = np.empty(budget.size, dtype=np.float64)
+    first = 0
+    while first < budget.size:
+        # Expand at most _EXPANSION_LIMIT pairs (and at least one
+        # combination) at a time, so tokenized multi-valued columns do
+        # not hold every pair of the column in memory at once.
+        done = int(ends[first - 1]) if first else 0
+        last = max(
+            first + 1,
+            int(np.searchsorted(ends, done + _EXPANSION_LIMIT, side="right")),
+        )
+        part = slice(first, last)
+        combo, index = _flat_positions(budget[part])
+        width = size_b[part][combo]
+        string_a = flat_a[start_a[part][combo] + index // width]
+        string_b = flat_b[start_b[part][combo] + index % width]
+        pair_keys, pair_of = np.unique(
+            string_a * np.int64(len(pool)) + string_b, return_inverse=True
+        )
+        distances = pair_kernel(
+            [pool[k] for k in (pair_keys // len(pool)).tolist()],
+            [pool[k] for k in (pair_keys % len(pool)).tolist()],
+        )
+        values[part] = np.minimum.reduceat(
+            distances[pair_of], ends[part] - budget[part] - done
+        )
+        first = last
+    np.minimum(values, INFINITE_DISTANCE, out=values)
+    out[rows] = values[row_combo]
+    if memo is not None and name is not None:
+        memo.record_routing(name, batch=rows.size)
+    return out
+
+
+def _distinct_combos(columns_a, columns_b):
+    """Row dedup shared by :func:`set_algebra_column` and
+    :func:`batch_pair_column`, vectorized.
+
+    Uniques each side's tuple identities (the engine hands out one
+    tuple object per unique entity), then the combination of the two
+    small inverse indexes — cheaper than one ``np.unique`` over
+    ``(id, id)`` rows. Returns ``(rows, tuples_a, tuples_b, select_a,
+    select_b, row_combo)``: the non-empty rows, the distinct tuples of
+    each side, each distinct combination's tuple index per side, and
+    each row's combination. None when no row has values on both sides.
     """
     if len(columns_a) != len(columns_b):
         raise ValueError(
             f"column length mismatch: {len(columns_a)} vs {len(columns_b)}"
         )
     n = len(columns_a)
-    out = np.full(n, INFINITE_DISTANCE, dtype=np.float64)
-    if n == 0:
-        return out
-    combo_of: dict[tuple[int, int], int] = {}
-    combos_a: list = []
-    combos_b: list = []
-    row_combo = np.full(n, -1, dtype=np.int64)
-    for i, (values_a, values_b) in enumerate(zip(columns_a, columns_b)):
-        if not values_a or not values_b:
-            continue
-        key = (id(values_a), id(values_b))
-        slot = combo_of.get(key)
-        if slot is None:
-            slot = len(combos_a)
-            combo_of[key] = slot
-            combos_a.append(values_a)
-            combos_b.append(values_b)
-        row_combo[i] = slot
-    combo_count = len(combos_a)
-    if combo_count == 0:
-        return out
-    values = np.empty(combo_count, dtype=np.float64)
-    is_batch = np.zeros(combo_count, dtype=bool)
-    pair_of: dict[tuple[str, str], int] = {}
-    pairs_a: list[str] = []
-    pairs_b: list[str] = []
-    single_slots: list[int] = []
-    single_pairs: list[int] = []
-    multi_slots: list[int] = []
-    for slot in range(combo_count):
-        values_a, values_b = combos_a[slot], combos_b[slot]
-        if len(values_a) == 1 and len(values_b) == 1:
-            is_batch[slot] = True
-            pair_key = (values_a[0], values_b[0])
-            pair = pair_of.get(pair_key)
-            if pair is None:
-                pair = len(pairs_a)
-                pair_of[pair_key] = pair
-                pairs_a.append(values_a[0])
-                pairs_b.append(values_b[0])
-            single_slots.append(slot)
-            single_pairs.append(pair)
-        else:
-            multi_slots.append(slot)
-    if pairs_a:
-        distances = pair_kernel(pairs_a, pairs_b)
-        values[single_slots] = distances[single_pairs]
-    for slot in multi_slots:
-        values[slot] = evaluate(combos_a[slot], combos_b[slot])
-    valid = row_combo >= 0
-    out[valid] = values[row_combo[valid]]
-    if memo is not None and name is not None:
-        routed = row_combo[valid]
-        batch_rows = int(is_batch[routed].sum())
-        memo.record_routing(
-            name, batch=batch_rows, fallback=int(routed.size - batch_rows)
-        )
-    return out
+    lens_a = np.fromiter(map(len, columns_a), np.int64, n)
+    lens_b = np.fromiter(map(len, columns_b), np.int64, n)
+    rows = np.flatnonzero((lens_a > 0) & (lens_b > 0))
+    if rows.size == 0:
+        return None
+    ids_a = np.fromiter(map(id, columns_a), np.int64, n)
+    ids_b = np.fromiter(map(id, columns_b), np.int64, n)
+    _, first_a, inv_a = np.unique(
+        ids_a[rows], return_index=True, return_inverse=True
+    )
+    _, first_b, inv_b = np.unique(
+        ids_b[rows], return_index=True, return_inverse=True
+    )
+    combo_key = inv_a * np.int64(first_b.size) + inv_b
+    _, first_combo, row_combo = np.unique(
+        combo_key, return_index=True, return_inverse=True
+    )
+    return (
+        rows,
+        [columns_a[i] for i in rows[first_a].tolist()],
+        [columns_b[i] for i in rows[first_b].tolist()],
+        inv_a[first_combo],
+        inv_b[first_combo],
+        row_combo,
+    )
+
+
+def _intern_values(tuples, interned: dict[str, int]):
+    """Flat interned string ids of ``tuples`` plus each tuple's start
+    offset and size in the flat array."""
+    sizes = np.fromiter(map(len, tuples), np.int64, len(tuples))
+    flat = np.fromiter(
+        (interned.setdefault(v, len(interned)) for t in tuples for v in t),
+        np.int64,
+        int(sizes.sum()),
+    )
+    return flat, np.cumsum(sizes) - sizes, sizes

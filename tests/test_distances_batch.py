@@ -222,6 +222,9 @@ _STRING_VALUES = (
     "berlin city centre",
     "x" * 40,              # far beyond the default band (max_bound=11)
     "x" * 39 + "y",
+    "x" * 64,              # one full 64-bit word of the levenshtein kernel
+    "x" * 32 + "y" * 33,   # 65: spills into a second word
+    "x" * 64 + "y" * 65,   # 129: spills into a third word
     "kitten",
     "sitting",
     "the quick brown fox jumps over the lazy dog",
@@ -282,18 +285,20 @@ def test_backend_resolution():
 
 
 def test_routing_counters_split_batch_and_fallback():
-    """Singleton pairs count as batch, multi-valued combos as fallback,
-    empty rows as neither; the python backend is all-fallback."""
+    """Every row with values on both sides counts as batch under numpy,
+    multi-valued combinations included (their cross products run
+    through the same kernel call); empty rows count as neither; the
+    python backend is all-fallback."""
     measure = _REGISTRY.get("levenshtein")
     columns_a = [("kitten",), ("a", "b"), (), ("kitten",)]
     columns_b = [("sitting",), ("c",), ("x",), ("sitting",)]
     memo = StringKernelMemo()
     with _backend("numpy"):
         measure.evaluate_column(columns_a, columns_b, memo=memo)
-    assert memo.routing() == (("levenshtein", 2, 1),)
+    assert memo.routing() == (("levenshtein", 3, 0),)
     with _backend("python"):
         measure.evaluate_column(columns_a, columns_b, memo=memo)
-    assert memo.routing() == (("levenshtein", 2, 4),)
+    assert memo.routing() == (("levenshtein", 3, 3),)
 
 
 def test_string_memo_tables_are_bounded():
